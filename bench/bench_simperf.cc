@@ -51,6 +51,42 @@ BM_HierarchyAccess(benchmark::State &state)
 BENCHMARK(BM_HierarchyAccess);
 
 void
+BM_HierarchyL1Hit(benchmark::State &state)
+{
+    // The cheapest demand access: a load that hits in L1 (the
+    // denominator of the wbinvd_vs_l1_hit gate).
+    Rng rng(1);
+    cache::Hierarchy h(uarch::getMicroArch("Zen").cacheConfig, &rng);
+    constexpr Addr kLines = 8;
+    for (Addr i = 0; i < kLines; ++i)
+        h.access(i * 64, cache::AccessType::Load);
+    Addr i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            h.access((i++ % kLines) * 64, cache::AccessType::Load).level);
+    }
+}
+BENCHMARK(BM_HierarchyL1Hit);
+
+void
+BM_HierarchyWbinvd(benchmark::State &state)
+{
+    // WBINVD on Zen's full 8 MB L3 (plus L1/L2), filled beforehand. A
+    // flush that walks every line costs ~10^4 L1 hits; flush
+    // generations make it O(1), which the wbinvd_vs_l1_hit gate pins.
+    Rng rng(1);
+    const auto &config = uarch::getMicroArch("Zen").cacheConfig;
+    cache::Hierarchy h(config, &rng);
+    for (Addr a = 0; a < config.l3.sizeBytes; a += 64)
+        h.access(a, cache::AccessType::Load);
+    for (auto _ : state) {
+        h.wbinvd();
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_HierarchyWbinvd);
+
+void
 BM_Assemble(benchmark::State &state)
 {
     for (auto _ : state) {
@@ -108,8 +144,13 @@ BM_SessionSetupPooled(benchmark::State &state)
     SessionOptions opt;
     opt.mode = core::Mode::Kernel;
     engine.session(opt); // warm the pool
+    engine.resetStats();
     for (auto _ : state)
         benchmark::DoNotOptimize(engine.session(opt).runner().mode());
+    // Must be exactly 0: a warm pool never constructs (checked by
+    // tools/check_bench.py).
+    state.counters["machines_constructed"] =
+        static_cast<double>(engine.machinesConstructed());
 }
 BENCHMARK(BM_SessionSetupPooled);
 

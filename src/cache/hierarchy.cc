@@ -42,54 +42,41 @@ Hierarchy::Hierarchy(const HierarchyConfig &config, Rng *rng)
     l1c.name = "L1D";
     l1c.sizeBytes = config.l1.sizeBytes;
     l1c.assoc = config.l1.assoc;
-    l1c.policyFactory = makeFactory(config.l1, false, 0);
+    l1c.policy = makePolicy(config.l1.policy, config.l1.assoc, rng_);
     l1_ = std::make_unique<Cache>(l1c);
 
     CacheConfig l2c;
     l2c.name = "L2";
     l2c.sizeBytes = config.l2.sizeBytes;
     l2c.assoc = config.l2.assoc;
-    l2c.policyFactory = makeFactory(config.l2, false, 0);
+    l2c.policy = makePolicy(config.l2.policy, config.l2.assoc, rng_);
     l2_ = std::make_unique<Cache>(l2c);
 
     NB_ASSERT(config.l3.sizeBytes % config.l3Slices == 0,
               "L3 size must divide evenly across slices");
-    for (unsigned s = 0; s < config.l3Slices; ++s) {
-        CacheConfig l3c;
-        l3c.name = "L3#" + std::to_string(s);
-        l3c.sizeBytes = config.l3.sizeBytes / config.l3Slices;
-        l3c.assoc = config.l3.assoc;
-        l3c.policyFactory = makeFactory(config.l3, true, s);
-        l3_.push_back(std::make_unique<Cache>(l3c));
-    }
-}
-
-PolicyFactory
-Hierarchy::makeFactory(const LevelConfig &level, bool is_l3, unsigned slice)
-{
-    if (is_l3 && !config_.l3Dueling.empty()) {
-        DuelingConfig dueling = config_.l3Dueling;
+    CacheConfig l3c;
+    l3c.sizeBytes = config.l3.sizeBytes / config.l3Slices;
+    l3c.assoc = config.l3.assoc;
+    if (config_.l3Dueling.empty()) {
+        l3c.policy = makePolicy(config.l3.policy, config.l3.assoc, rng_);
+    } else {
+        const DuelingConfig &dueling = config_.l3Dueling;
         auto spec_a = QlruSpec::parse(dueling.policyA);
         auto spec_b = QlruSpec::parse(dueling.policyB);
         NB_ASSERT(spec_a && spec_b,
                   "adaptive L3 requires QLRU policy names, got ",
                   dueling.policyA, " / ", dueling.policyB);
-        unsigned assoc = level.assoc;
-        Rng *rng = rng_;
-        DuelState *duel = &duel_;
-        return [dueling, spec_a, spec_b, assoc, rng, duel,
-                slice](unsigned set) -> std::unique_ptr<SetPolicy> {
-            DuelRole role = dueling.role(slice, set);
-            return std::make_unique<AdaptiveQlruPolicy>(
-                assoc, *spec_a, *spec_b, role, duel, rng);
-        };
+        l3c.policy = Policy(*spec_a, config.l3.assoc, rng_);
+        l3c.dueling = CacheDueling{Policy(*spec_b, config.l3.assoc, rng_),
+                                   dueling, 0, &duel_};
     }
-    std::string policy = level.policy;
-    unsigned assoc = level.assoc;
-    Rng *rng = rng_;
-    return [policy, assoc, rng](unsigned) {
-        return makePolicy(policy, assoc, rng);
-    };
+    l3_.reserve(config.l3Slices);
+    for (unsigned s = 0; s < config.l3Slices; ++s) {
+        l3c.name = "L3#" + std::to_string(s);
+        if (l3c.dueling)
+            l3c.dueling->slice = s;
+        l3_.push_back(std::make_unique<Cache>(l3c));
+    }
 }
 
 unsigned
@@ -155,8 +142,7 @@ Hierarchy::access(Addr paddr, AccessType type)
                           type == AccessType::PrefetchNTA;
 
     // L1 lookup.
-    if (l1_->probe(paddr)) {
-        l1_->access(paddr, write);
+    if (l1_->accessIfPresent(paddr, write)) {
         res.level = HitLevel::L1;
         res.latency = config_.l1Latency;
         if (!inPrefetch_)
@@ -165,8 +151,7 @@ Hierarchy::access(Addr paddr, AccessType type)
     }
 
     // L2 lookup.
-    if (l2_->probe(paddr)) {
-        l2_->access(paddr, false);
+    if (l2_->accessIfPresent(paddr, false)) {
         fillL1(paddr, write);
         res.level = HitLevel::L2;
         res.latency = config_.l2Latency;
@@ -182,9 +167,8 @@ Hierarchy::access(Addr paddr, AccessType type)
     res.slice = slice;
     res.reachedL3 = true;
     ++cboxStats_[slice].lookups;
-    if (l3_[slice]->probe(paddr)) {
+    if (l3_[slice]->accessIfPresent(paddr, false)) {
         ++cboxStats_[slice].hits;
-        l3_[slice]->access(paddr, false);
         fillL2(paddr, false);
         fillL1(paddr, write);
         res.level = HitLevel::L3;
@@ -218,12 +202,11 @@ Hierarchy::prefetchIntoL2(Addr paddr)
     if (!l2_->probe(paddr)) {
         unsigned slice = sliceOf(paddr);
         ++cboxStats_[slice].lookups;
-        if (!l3_[slice]->probe(paddr)) {
+        if (l3_[slice]->accessIfPresent(paddr, false)) {
+            ++cboxStats_[slice].hits;
+        } else {
             ++cboxStats_[slice].misses;
             fillL3(paddr, false, slice);
-        } else {
-            ++cboxStats_[slice].hits;
-            l3_[slice]->access(paddr, false);
         }
         fillL2(paddr, false);
     }
@@ -235,19 +218,16 @@ Hierarchy::prefetchIntoL1(Addr paddr)
 {
     inPrefetch_ = true;
     if (!l1_->probe(paddr)) {
-        if (!l2_->probe(paddr)) {
+        if (!l2_->accessIfPresent(paddr, false)) {
             unsigned slice = sliceOf(paddr);
             ++cboxStats_[slice].lookups;
-            if (!l3_[slice]->probe(paddr)) {
+            if (l3_[slice]->accessIfPresent(paddr, false)) {
+                ++cboxStats_[slice].hits;
+            } else {
                 ++cboxStats_[slice].misses;
                 fillL3(paddr, false, slice);
-            } else {
-                ++cboxStats_[slice].hits;
-                l3_[slice]->access(paddr, false);
             }
             fillL2(paddr, false);
-        } else {
-            l2_->access(paddr, false);
         }
         fillL1(paddr, false);
     }

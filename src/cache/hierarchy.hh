@@ -176,9 +176,6 @@ class Hierarchy
     /** Handle the back-invalidation required by L3 inclusivity. */
     void backInvalidate(Addr evicted_line);
 
-    PolicyFactory makeFactory(const LevelConfig &level, bool is_l3,
-                              unsigned slice);
-
     HierarchyConfig config_;
     Rng *rng_;
     std::unique_ptr<Cache> l1_;

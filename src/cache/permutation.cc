@@ -1,15 +1,12 @@
 /**
  * @file
- * Permutation-policy implementation.
+ * Permutation-spec construction and validation.
  */
 
 #include "permutation.hh"
 
-#include <algorithm>
 #include <numeric>
 #include <sstream>
-
-#include "common/logging.hh"
 
 namespace nb::cache
 {
@@ -100,92 +97,6 @@ PermutationSpec::fifo(unsigned assoc)
     for (unsigned q = 1; q < assoc; ++q)
         spec.missPerm[q] = q - 1;
     return spec;
-}
-
-PermutationPolicy::PermutationPolicy(unsigned assoc, PermutationSpec spec)
-    : SetPolicy(assoc), spec_(std::move(spec)), order_(assoc)
-{
-    NB_ASSERT(spec_.assoc() == assoc,
-              "permutation spec assoc mismatch: ", spec_.assoc(), " vs ",
-              assoc);
-    NB_ASSERT(spec_.isValid(), "invalid permutation spec");
-    reset();
-}
-
-void
-PermutationPolicy::reset()
-{
-    std::iota(order_.begin(), order_.end(), 0u);
-}
-
-unsigned
-PermutationPolicy::positionOf(unsigned way) const
-{
-    for (unsigned pos = 0; pos < order_.size(); ++pos) {
-        if (order_[pos] == way)
-            return pos;
-    }
-    panic("way ", way, " not in permutation order");
-}
-
-void
-PermutationPolicy::applyPermutation(const std::vector<unsigned> &perm)
-{
-    std::vector<unsigned> next(order_.size());
-    for (unsigned q = 0; q < order_.size(); ++q)
-        next[perm[q]] = order_[q];
-    order_ = std::move(next);
-}
-
-void
-PermutationPolicy::moveToPositionZero(unsigned way)
-{
-    unsigned pos = positionOf(way);
-    // Rotate the prefix so that `way` lands on position 0 while keeping
-    // the relative order of the other elements.
-    for (unsigned p = pos; p > 0; --p)
-        order_[p] = order_[p - 1];
-    order_[0] = way;
-}
-
-unsigned
-PermutationPolicy::insertWay(const std::vector<bool> &valid)
-{
-    // Prefer the lowest-position invalid way so that fills consume the
-    // victim order deterministically.
-    for (unsigned pos = 0; pos < order_.size(); ++pos) {
-        if (!valid[order_[pos]])
-            return order_[pos];
-    }
-    return order_[0];
-}
-
-void
-PermutationPolicy::onInsert(unsigned way, const std::vector<bool> &)
-{
-    moveToPositionZero(way);
-    applyPermutation(spec_.missPerm);
-}
-
-void
-PermutationPolicy::onHit(unsigned way, const std::vector<bool> &)
-{
-    applyPermutation(spec_.hitPerms[positionOf(way)]);
-}
-
-std::unique_ptr<SetPolicy>
-PermutationPolicy::clone() const
-{
-    return std::make_unique<PermutationPolicy>(*this);
-}
-
-std::string
-PermutationPolicy::debugState() const
-{
-    std::ostringstream os;
-    for (unsigned pos = 0; pos < order_.size(); ++pos)
-        os << (pos ? " " : "") << order_[pos];
-    return os.str();
 }
 
 } // namespace nb::cache

@@ -13,7 +13,10 @@
  *  - a permutation pi maps old positions to new positions:
  *    new_order[pi[q]] = old_order[q];
  *  - on a miss, the new block first takes position 0 (replacing the
- *    victim), then the miss permutation is applied.
+ *    victim), then the miss permutation is applied; fills into empty
+ *    ways are treated the same way.
+ *
+ * Policy(PermutationSpec) (policy.hh) is the kernel that runs a spec.
  */
 
 #ifndef NB_CACHE_PERMUTATION_HH
@@ -21,8 +24,6 @@
 
 #include <string>
 #include <vector>
-
-#include "cache/policy.hh"
 
 namespace nb::cache
 {
@@ -53,38 +54,6 @@ struct PermutationSpec
 
     /** The FIFO policy as a permutation spec. */
     static PermutationSpec fifo(unsigned assoc);
-};
-
-/**
- * A cache-set policy driven by an explicit PermutationSpec. Fills (into
- * empty ways) are treated like misses: the filled way takes position 0
- * and the miss permutation is applied.
- */
-class PermutationPolicy : public SetPolicy
-{
-  public:
-    PermutationPolicy(unsigned assoc, PermutationSpec spec);
-
-    void reset() override;
-    unsigned insertWay(const std::vector<bool> &valid) override;
-    void onInsert(unsigned way, const std::vector<bool> &valid) override;
-    void onHit(unsigned way, const std::vector<bool> &valid) override;
-    std::string name() const override { return "PERMUTATION"; }
-    std::unique_ptr<SetPolicy> clone() const override;
-    std::string debugState() const override;
-
-    const PermutationSpec &spec() const { return spec_; }
-
-    /** Current position of @p way in the order (for tests). */
-    unsigned positionOf(unsigned way) const;
-
-  private:
-    void applyPermutation(const std::vector<unsigned> &perm);
-    void moveToPositionZero(unsigned way);
-
-    PermutationSpec spec_;
-    /** order_[pos] = way currently at position pos; pos 0 is smallest. */
-    std::vector<unsigned> order_;
 };
 
 } // namespace nb::cache

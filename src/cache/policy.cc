@@ -1,13 +1,15 @@
 /**
  * @file
- * Replacement-policy implementations.
+ * Replacement-policy kernels.
  */
 
 #include "policy.hh"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
+#include "cache/permutation.hh"
 #include "common/bits.hh"
 #include "common/logging.hh"
 #include "common/strings.hh"
@@ -18,314 +20,200 @@ namespace nb::cache
 namespace
 {
 
-/** Leftmost invalid way, or nullopt if the set is full. */
-std::optional<unsigned>
-leftmostEmpty(const std::vector<bool> &valid)
+WayMask
+fullMask(unsigned assoc)
 {
-    for (unsigned w = 0; w < valid.size(); ++w) {
-        if (!valid[w])
+    return assoc >= kMaxAssoc ? ~WayMask{0} : (WayMask{1} << assoc) - 1;
+}
+
+bool
+isValidWay(WayMask valid, unsigned way)
+{
+    return (valid >> way) & 1;
+}
+
+/** Leftmost empty way, or -1 if the set is full. */
+int
+leftmostEmpty(WayMask valid, unsigned assoc)
+{
+    WayMask empty = ~valid & fullMask(assoc);
+    return empty ? std::countr_zero(empty) : -1;
+}
+
+/** Rightmost empty way, or -1 if the set is full. */
+int
+rightmostEmpty(WayMask valid, unsigned assoc)
+{
+    WayMask empty = ~valid & fullMask(assoc);
+    return empty ? 63 - std::countl_zero(empty) : -1;
+}
+
+std::uint8_t *
+bytesOf(std::uint64_t *st)
+{
+    return reinterpret_cast<std::uint8_t *>(st);
+}
+
+const std::uint8_t *
+bytesOf(const std::uint64_t *st)
+{
+    return reinterpret_cast<const std::uint8_t *>(st);
+}
+
+unsigned
+ageOf(const std::uint64_t *st, unsigned way)
+{
+    return static_cast<unsigned>(st[way / 32] >> (2 * (way % 32))) & 3;
+}
+
+void
+setAge(std::uint64_t *st, unsigned way, unsigned age)
+{
+    unsigned shift = 2 * (way % 32);
+    std::uint64_t &word = st[way / 32];
+    word = (word & ~(std::uint64_t{3} << shift)) |
+           (std::uint64_t{age} << shift);
+}
+
+// ------------------------------------------------------- LRU / FIFO --
+//
+// rank[w] orders the ways by their last touch (LRU) or insertion (FIFO):
+// a touched way moves to rank assoc-1 and the ways above it move down
+// one. Victims are chosen only in full sets, whose ways have all been
+// touched since the last reset, so rank 0 is the least recent of them.
+
+void
+rankTouch(std::uint64_t *st, unsigned words, unsigned assoc, unsigned way)
+{
+    // Eight ranks per word at once: a byte b (< 64, like every rank)
+    // gets its top bit set by b + 127 - old iff b > old, without
+    // carrying into its neighbour. Padding bytes are 0 and stay 0.
+    unsigned old = bytesOf(st)[way];
+    constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+    const std::uint64_t bias = kOnes * (127 - old);
+    for (unsigned i = 0; i < words; ++i)
+        st[i] -= ((st[i] + bias) >> 7) & kOnes;
+    bytesOf(st)[way] = static_cast<std::uint8_t>(assoc - 1);
+}
+
+unsigned
+rankVictim(const std::uint8_t *rank, unsigned assoc)
+{
+    for (unsigned w = 0; w < assoc; ++w) {
+        if (rank[w] == 0)
             return w;
     }
-    return std::nullopt;
+    panic("LRU/FIFO ranks are not a permutation");
 }
 
-/** Rightmost invalid way, or nullopt if the set is full. */
-std::optional<unsigned>
-rightmostEmpty(const std::vector<bool> &valid)
-{
-    for (unsigned w = static_cast<unsigned>(valid.size()); w-- > 0;) {
-        if (!valid[w])
-            return w;
-    }
-    return std::nullopt;
-}
-
-} // namespace
-
-// ---------------------------------------------------------------- LRU --
-
-LruPolicy::LruPolicy(unsigned assoc)
-    : SetPolicy(assoc), stamps_(assoc, 0)
-{
-}
-
-void
-LruPolicy::reset()
-{
-    std::fill(stamps_.begin(), stamps_.end(), 0);
-    clock_ = 0;
-}
-
-void
-LruPolicy::touch(unsigned way)
-{
-    stamps_[way] = ++clock_;
-}
+// ------------------------------------------------------------- PLRU --
+//
+// Tree-based pseudo-LRU (§VI-B1): a binary tree per set; the tree bits
+// point to the victim (bit 0 -> left, 1 -> right); accesses point every
+// node on the root-to-leaf path away from the accessed element.
 
 unsigned
-LruPolicy::insertWay(const std::vector<bool> &valid)
+plruVictim(std::uint64_t bits, unsigned assoc)
 {
-    if (auto w = leftmostEmpty(valid))
-        return *w;
-    return static_cast<unsigned>(std::distance(
-        stamps_.begin(), std::min_element(stamps_.begin(), stamps_.end())));
-}
-
-void
-LruPolicy::onInsert(unsigned way, const std::vector<bool> &)
-{
-    touch(way);
-}
-
-void
-LruPolicy::onHit(unsigned way, const std::vector<bool> &)
-{
-    touch(way);
-}
-
-std::unique_ptr<SetPolicy>
-LruPolicy::clone() const
-{
-    return std::make_unique<LruPolicy>(*this);
-}
-
-std::string
-LruPolicy::debugState() const
-{
-    std::ostringstream os;
-    for (unsigned w = 0; w < assoc_; ++w)
-        os << (w ? " " : "") << stamps_[w];
-    return os.str();
-}
-
-// --------------------------------------------------------------- FIFO --
-
-FifoPolicy::FifoPolicy(unsigned assoc)
-    : SetPolicy(assoc), stamps_(assoc, 0)
-{
-}
-
-void
-FifoPolicy::reset()
-{
-    std::fill(stamps_.begin(), stamps_.end(), 0);
-    clock_ = 0;
-}
-
-unsigned
-FifoPolicy::insertWay(const std::vector<bool> &valid)
-{
-    if (auto w = leftmostEmpty(valid))
-        return *w;
-    return static_cast<unsigned>(std::distance(
-        stamps_.begin(), std::min_element(stamps_.begin(), stamps_.end())));
-}
-
-void
-FifoPolicy::onInsert(unsigned way, const std::vector<bool> &)
-{
-    stamps_[way] = ++clock_;
-}
-
-void
-FifoPolicy::onHit(unsigned, const std::vector<bool> &)
-{
-    // FIFO ignores hits.
-}
-
-std::unique_ptr<SetPolicy>
-FifoPolicy::clone() const
-{
-    return std::make_unique<FifoPolicy>(*this);
-}
-
-std::string
-FifoPolicy::debugState() const
-{
-    std::ostringstream os;
-    for (unsigned w = 0; w < assoc_; ++w)
-        os << (w ? " " : "") << stamps_[w];
-    return os.str();
-}
-
-// --------------------------------------------------------------- PLRU --
-
-PlruPolicy::PlruPolicy(unsigned assoc)
-    : SetPolicy(assoc), bits_(assoc > 1 ? assoc - 1 : 0, 0),
-      levels_(assoc > 1 ? floorLog2(assoc) : 0)
-{
-    NB_ASSERT(isPowerOfTwo(assoc), "PLRU requires power-of-two assoc, got ",
-              assoc);
-}
-
-void
-PlruPolicy::reset()
-{
-    std::fill(bits_.begin(), bits_.end(), 0);
-}
-
-unsigned
-PlruPolicy::victim() const
-{
-    // Follow the tree bits from the root: bit 0 -> left, 1 -> right.
     unsigned node = 0;
-    for (unsigned l = 0; l < levels_; ++l)
-        node = 2 * node + 1 + bits_[node];
-    return node - (assoc_ - 1);
+    for (unsigned l = std::countr_zero(assoc); l > 0; --l)
+        node = 2 * node + 1 + static_cast<unsigned>((bits >> node) & 1);
+    return node - (assoc - 1);
 }
 
 void
-PlruPolicy::touch(unsigned way)
+plruTouch(std::uint64_t &bits, unsigned assoc, unsigned way)
 {
-    // Walk from the leaf to the root, pointing every node away from the
-    // path that was taken.
-    unsigned node = way + (assoc_ - 1);
+    unsigned node = way + (assoc - 1);
     while (node != 0) {
         unsigned parent = (node - 1) / 2;
         bool came_from_left = node == 2 * parent + 1;
-        bits_[parent] = came_from_left ? 1 : 0;
+        bits = (bits & ~(std::uint64_t{1} << parent)) |
+               (std::uint64_t{came_from_left} << parent);
         node = parent;
     }
 }
 
-unsigned
-PlruPolicy::insertWay(const std::vector<bool> &valid)
-{
-    if (auto w = leftmostEmpty(valid))
-        return *w;
-    return victim();
-}
+// -------------------------------------------------------------- MRU --
+//
+// MRU / bit-PLRU / PLRUm / NRU (§VI-B2): one status bit per line. An
+// access clears the line's bit; if it was the last set bit, all other
+// bits are set. A miss replaces the leftmost line whose bit is set.
 
 void
-PlruPolicy::onInsert(unsigned way, const std::vector<bool> &)
+mruAccess(std::uint64_t &bits, unsigned assoc, unsigned way)
 {
-    touch(way);
+    bits &= ~(std::uint64_t{1} << way);
+    if (bits == 0)
+        bits = fullMask(assoc) & ~(std::uint64_t{1} << way);
 }
 
-void
-PlruPolicy::onHit(unsigned way, const std::vector<bool> &)
-{
-    touch(way);
-}
-
-std::unique_ptr<SetPolicy>
-PlruPolicy::clone() const
-{
-    return std::make_unique<PlruPolicy>(*this);
-}
-
-std::string
-PlruPolicy::debugState() const
-{
-    std::string s;
-    for (auto b : bits_)
-        s += b ? '1' : '0';
-    return s;
-}
-
-// ------------------------------------------------------------- Random --
-
-RandomPolicy::RandomPolicy(unsigned assoc, Rng *rng)
-    : SetPolicy(assoc), rng_(rng)
-{
-    NB_ASSERT(rng != nullptr, "RandomPolicy requires an RNG");
-}
+// ------------------------------------------------------------- QLRU --
 
 unsigned
-RandomPolicy::insertWay(const std::vector<bool> &valid)
+qlruPromote(const QlruSpec &spec, unsigned age)
 {
-    if (auto w = leftmostEmpty(valid))
-        return *w;
-    return static_cast<unsigned>(rng_->nextBelow(assoc_));
-}
-
-std::unique_ptr<SetPolicy>
-RandomPolicy::clone() const
-{
-    return std::make_unique<RandomPolicy>(*this);
-}
-
-// ---------------------------------------------------------------- MRU --
-
-MruPolicy::MruPolicy(unsigned assoc, bool sandy_bridge_variant)
-    : SetPolicy(assoc), bits_(assoc, 1), sbVariant_(sandy_bridge_variant)
-{
-}
-
-void
-MruPolicy::reset()
-{
-    std::fill(bits_.begin(), bits_.end(), 1);
-}
-
-void
-MruPolicy::access(unsigned way)
-{
-    bits_[way] = 0;
-    if (std::find(bits_.begin(), bits_.end(), 1) == bits_.end()) {
-        // The accessed line held the last set bit: set all other bits.
-        std::fill(bits_.begin(), bits_.end(), 1);
-        bits_[way] = 0;
-    }
-}
-
-unsigned
-MruPolicy::insertWay(const std::vector<bool> &valid)
-{
-    if (auto w = leftmostEmpty(valid))
-        return *w;
-    // Replace the leftmost element whose bit is set.
-    for (unsigned w = 0; w < assoc_; ++w) {
-        if (bits_[w])
-            return w;
-    }
-    // Unreachable in a well-formed state (access() keeps >= 1 bit set),
-    // but be defensive.
+    if (age == 3)
+        return spec.hitX;
+    if (age == 2)
+        return spec.hitY;
     return 0;
 }
 
+/**
+ * The age update (§VI-B2): if no valid block has age 3, update ages per
+ * the U variant. @p accessed is the way excluded by U1/U3, or -1 (the
+ * miss-time update of UMO variants).
+ */
 void
-MruPolicy::onInsert(unsigned way, const std::vector<bool> &valid)
+qlruNormalize(const QlruSpec &spec, std::uint64_t *st, int accessed,
+              WayMask valid)
 {
-    if (sbVariant_ &&
-        std::find(valid.begin(), valid.end(), false) != valid.end()) {
-        // Sandy Bridge variant: while the cache is not yet full, fills
-        // leave all status bits set (newly inserted blocks are eviction
-        // candidates immediately).
-        std::fill(bits_.begin(), bits_.end(), 1);
+    if (valid == 0)
         return;
+    unsigned max_age = 0;
+    for (WayMask v = valid; v; v &= v - 1)
+        max_age = std::max(max_age, ageOf(st, std::countr_zero(v)));
+    if (max_age == 3)
+        return;
+
+    unsigned delta =
+        (spec.uVariant == 0 || spec.uVariant == 1) ? 3 - max_age : 1;
+    bool exclude_accessed = spec.uVariant == 1 || spec.uVariant == 3;
+    for (WayMask v = valid; v; v &= v - 1) {
+        unsigned w = static_cast<unsigned>(std::countr_zero(v));
+        if (exclude_accessed && static_cast<int>(w) == accessed)
+            continue;
+        setAge(st, w, std::min(3u, ageOf(st, w) + delta));
     }
-    access(way);
+}
+
+// ------------------------------------------------------ permutation --
+//
+// order[pos] = way at position pos; position 0 is the victim.
+
+unsigned
+permPositionOf(const std::uint8_t *order, unsigned assoc, unsigned way)
+{
+    for (unsigned pos = 0; pos < assoc; ++pos) {
+        if (order[pos] == way)
+            return pos;
+    }
+    panic("way ", way, " not in permutation order");
 }
 
 void
-MruPolicy::onHit(unsigned way, const std::vector<bool> &)
+permApply(std::uint8_t *order, const std::vector<unsigned> &perm)
 {
-    access(way);
+    std::uint8_t next[kMaxAssoc];
+    for (unsigned q = 0; q < perm.size(); ++q)
+        next[perm[q]] = order[q];
+    std::copy(next, next + perm.size(), order);
 }
 
-std::string
-MruPolicy::name() const
-{
-    return sbVariant_ ? "MRU_SBV" : "MRU";
-}
+} // namespace
 
-std::unique_ptr<SetPolicy>
-MruPolicy::clone() const
-{
-    return std::make_unique<MruPolicy>(*this);
-}
-
-std::string
-MruPolicy::debugState() const
-{
-    std::string s;
-    for (auto b : bits_)
-        s += b ? '1' : '0';
-    return s;
-}
-
-// --------------------------------------------------------------- QLRU --
+// ---------------------------------------------------------- QlruSpec --
 
 std::string
 QlruSpec::name() const
@@ -408,152 +296,287 @@ QlruSpec::isValid() const
     return true;
 }
 
-QlruPolicy::QlruPolicy(unsigned assoc, const QlruSpec &spec, Rng *rng)
-    : SetPolicy(assoc), spec_(spec), rng_(rng), ages_(assoc, 3)
+// ----------------------------------------------------------- Policy --
+
+Policy::Policy(PolicyKind kind, unsigned assoc, Rng *rng)
+    : kind_(kind), assoc_(assoc), rng_(rng)
 {
+    NB_ASSERT(assoc >= 1 && assoc <= kMaxAssoc, "unsupported assoc ",
+              assoc);
+    switch (kind) {
+      case PolicyKind::Lru:
+      case PolicyKind::Fifo:
+        words_ = (assoc + 7) / 8;
+        break;
+      case PolicyKind::Plru:
+        NB_ASSERT(isPowerOfTwo(assoc),
+                  "PLRU requires power-of-two assoc, got ", assoc);
+        words_ = 1;
+        break;
+      case PolicyKind::Random:
+        NB_ASSERT(rng != nullptr, "RANDOM requires an RNG");
+        words_ = 0;
+        break;
+      case PolicyKind::Mru:
+      case PolicyKind::MruSbv:
+        words_ = 1;
+        break;
+      case PolicyKind::Qlru:
+      case PolicyKind::Permutation:
+        panic("policy kind needs parameters");
+    }
+}
+
+Policy::Policy(const QlruSpec &spec, unsigned assoc, Rng *rng)
+    : kind_(PolicyKind::Qlru), assoc_(assoc), words_((2 * assoc + 63) / 64),
+      qlru_(spec), rng_(rng)
+{
+    NB_ASSERT(assoc >= 1 && assoc <= kMaxAssoc, "unsupported assoc ",
+              assoc);
     NB_ASSERT(spec.isValid(), "invalid QLRU spec ", spec.name());
     NB_ASSERT(spec.probDenom == 1 || rng != nullptr,
               "probabilistic QLRU requires an RNG");
 }
 
-void
-QlruPolicy::reset()
+Policy::Policy(PermutationSpec spec)
+    : kind_(PolicyKind::Permutation), assoc_(spec.assoc()),
+      words_((spec.assoc() + 7) / 8)
 {
-    std::fill(ages_.begin(), ages_.end(), 3);
-}
-
-void
-QlruPolicy::setSpec(const QlruSpec &spec)
-{
-    NB_ASSERT(spec.isValid(), "invalid QLRU spec ", spec.name());
-    spec_ = spec;
-}
-
-unsigned
-QlruPolicy::promote(unsigned age) const
-{
-    if (age == 3)
-        return spec_.hitX;
-    if (age == 2)
-        return spec_.hitY;
-    return 0;
-}
-
-unsigned
-QlruPolicy::chooseInsertAge()
-{
-    if (spec_.probDenom <= 1)
-        return spec_.insertAge;
-    return rng_->oneIn(spec_.probDenom) ? spec_.insertAge : 3;
-}
-
-void
-QlruPolicy::normalize(std::optional<unsigned> accessed,
-                      const std::vector<bool> &valid)
-{
-    // Find the maximum age among valid blocks.
-    unsigned max_age = 0;
-    bool any_valid = false;
-    for (unsigned w = 0; w < assoc_; ++w) {
-        if (valid[w]) {
-            any_valid = true;
-            max_age = std::max(max_age, unsigned{ages_[w]});
-        }
-    }
-    if (!any_valid || max_age == 3)
-        return;
-
-    unsigned delta = (spec_.uVariant == 0 || spec_.uVariant == 1)
-                         ? 3 - max_age
-                         : 1;
-    bool exclude_accessed = spec_.uVariant == 1 || spec_.uVariant == 3;
-    for (unsigned w = 0; w < assoc_; ++w) {
-        if (!valid[w])
-            continue;
-        if (exclude_accessed && accessed && *accessed == w)
-            continue;
-        ages_[w] = static_cast<std::uint8_t>(
-            std::min(3u, unsigned{ages_[w]} + delta));
-    }
-}
-
-unsigned
-QlruPolicy::insertWay(const std::vector<bool> &valid)
-{
-    // Not yet full: R0/R1 fill the leftmost empty location, R2 the
-    // rightmost.
-    if (spec_.rVariant == 2) {
-        if (auto w = rightmostEmpty(valid))
-            return *w;
-    } else {
-        if (auto w = leftmostEmpty(valid))
-            return *w;
-    }
-
-    // Full: UMO variants run the age update now, before victim selection.
-    if (spec_.umo)
-        normalize(std::nullopt, valid);
-
-    // Replace the leftmost block whose age is 3.
-    for (unsigned w = 0; w < assoc_; ++w) {
-        if (ages_[w] == 3)
-            return w;
-    }
-    // No age-3 block: R1 replaces the leftmost block regardless; for R0
-    // the behaviour is undefined in the paper -- fall back to way 0.
-    return 0;
-}
-
-void
-QlruPolicy::onInsert(unsigned way, const std::vector<bool> &valid)
-{
-    ages_[way] = static_cast<std::uint8_t>(chooseInsertAge());
-    if (!spec_.umo)
-        normalize(way, valid);
-}
-
-void
-QlruPolicy::onHit(unsigned way, const std::vector<bool> &valid)
-{
-    ages_[way] = static_cast<std::uint8_t>(promote(ages_[way]));
-    if (!spec_.umo)
-        normalize(way, valid);
-}
-
-std::unique_ptr<SetPolicy>
-QlruPolicy::clone() const
-{
-    return std::make_unique<QlruPolicy>(*this);
+    NB_ASSERT(assoc_ >= 1 && assoc_ <= kMaxAssoc, "unsupported assoc ",
+              assoc_);
+    NB_ASSERT(spec.isValid(), "invalid permutation spec");
+    perm_ = std::make_shared<const PermutationSpec>(std::move(spec));
 }
 
 std::string
-QlruPolicy::debugState() const
+Policy::name() const
 {
-    std::string s;
-    for (auto a : ages_)
-        s += static_cast<char>('0' + a);
-    return s;
+    switch (kind_) {
+      case PolicyKind::Lru:
+        return "LRU";
+      case PolicyKind::Fifo:
+        return "FIFO";
+      case PolicyKind::Plru:
+        return "PLRU";
+      case PolicyKind::Random:
+        return "RANDOM";
+      case PolicyKind::Mru:
+        return "MRU";
+      case PolicyKind::MruSbv:
+        return "MRU_SBV";
+      case PolicyKind::Qlru:
+        return qlru_.name();
+      case PolicyKind::Permutation:
+        return "PERMUTATION";
+    }
+    panic("unreachable policy kind");
+}
+
+void
+Policy::reset(std::uint64_t *st) const
+{
+    switch (kind_) {
+      case PolicyKind::Lru:
+      case PolicyKind::Fifo:
+      case PolicyKind::Permutation:
+        std::fill(st, st + words_, 0); // padding bytes stay 0
+        for (unsigned w = 0; w < assoc_; ++w)
+            bytesOf(st)[w] = static_cast<std::uint8_t>(w);
+        break;
+      case PolicyKind::Plru:
+        st[0] = 0;
+        break;
+      case PolicyKind::Random:
+        break;
+      case PolicyKind::Mru:
+      case PolicyKind::MruSbv:
+        st[0] = fullMask(assoc_);
+        break;
+      case PolicyKind::Qlru:
+        std::fill(st, st + words_, ~std::uint64_t{0}); // every age 3
+        break;
+    }
+}
+
+unsigned
+Policy::insertWay(std::uint64_t *st, WayMask valid) const
+{
+    if (kind_ == PolicyKind::Permutation) {
+        // The lowest-position empty way, so that fills consume the
+        // victim order deterministically.
+        const std::uint8_t *order = bytesOf(st);
+        for (unsigned pos = 0; pos < assoc_; ++pos) {
+            if (!isValidWay(valid, order[pos]))
+                return order[pos];
+        }
+        return order[0];
+    }
+    // Not yet full: fill the leftmost empty way (QLRU R2: the rightmost).
+    int empty = kind_ == PolicyKind::Qlru && qlru_.rVariant == 2
+                    ? rightmostEmpty(valid, assoc_)
+                    : leftmostEmpty(valid, assoc_);
+    if (empty >= 0)
+        return static_cast<unsigned>(empty);
+
+    switch (kind_) {
+      case PolicyKind::Lru:
+      case PolicyKind::Fifo:
+        return rankVictim(bytesOf(st), assoc_);
+      case PolicyKind::Plru:
+        return plruVictim(st[0], assoc_);
+      case PolicyKind::Random:
+        return static_cast<unsigned>(rng_->nextBelow(assoc_));
+      case PolicyKind::Mru:
+      case PolicyKind::MruSbv:
+        // The leftmost line whose bit is set (mruAccess keeps one set).
+        return st[0] ? static_cast<unsigned>(std::countr_zero(st[0])) : 0;
+      case PolicyKind::Qlru:
+        // Full: UMO variants run the age update now, before victim
+        // selection.
+        if (qlru_.umo)
+            qlruNormalize(qlru_, st, -1, valid);
+        // Replace the leftmost block whose age is 3. With none, R1
+        // replaces the leftmost block regardless; for R0 the behaviour
+        // is undefined in the paper -- fall back to way 0.
+        for (unsigned w = 0; w < assoc_; ++w) {
+            if (ageOf(st, w) == 3)
+                return w;
+        }
+        return 0;
+      case PolicyKind::Permutation:
+        break;
+    }
+    panic("unreachable policy kind");
+}
+
+void
+Policy::onInsert(std::uint64_t *st, unsigned way, WayMask valid) const
+{
+    switch (kind_) {
+      case PolicyKind::Lru:
+      case PolicyKind::Fifo:
+        rankTouch(st, words_, assoc_, way);
+        return;
+      case PolicyKind::Plru:
+        plruTouch(st[0], assoc_, way);
+        return;
+      case PolicyKind::Random:
+        return;
+      case PolicyKind::MruSbv:
+        if (valid != fullMask(assoc_)) {
+            // Sandy Bridge variant: while the cache is not yet full,
+            // fills leave all status bits set (newly inserted blocks
+            // are eviction candidates immediately).
+            st[0] = fullMask(assoc_);
+            return;
+        }
+        [[fallthrough]];
+      case PolicyKind::Mru:
+        mruAccess(st[0], assoc_, way);
+        return;
+      case PolicyKind::Qlru: {
+        // MRpx: age x with probability 1/p, age 3 otherwise.
+        unsigned age = qlru_.insertAge;
+        if (qlru_.probDenom > 1 && !rng_->oneIn(qlru_.probDenom))
+            age = 3;
+        setAge(st, way, age);
+        if (!qlru_.umo)
+            qlruNormalize(qlru_, st, static_cast<int>(way), valid);
+        return;
+      }
+      case PolicyKind::Permutation: {
+        // The new block takes position 0 (the others keep their
+        // relative order), then the miss permutation is applied.
+        std::uint8_t *order = bytesOf(st);
+        for (unsigned p = permPositionOf(order, assoc_, way); p > 0; --p)
+            order[p] = order[p - 1];
+        order[0] = static_cast<std::uint8_t>(way);
+        permApply(order, perm_->missPerm);
+        return;
+      }
+    }
+}
+
+void
+Policy::onHit(std::uint64_t *st, unsigned way, WayMask valid) const
+{
+    switch (kind_) {
+      case PolicyKind::Lru:
+        rankTouch(st, words_, assoc_, way);
+        return;
+      case PolicyKind::Fifo:
+      case PolicyKind::Random:
+        return; // hits do not update the state
+      case PolicyKind::Plru:
+        plruTouch(st[0], assoc_, way);
+        return;
+      case PolicyKind::Mru:
+      case PolicyKind::MruSbv:
+        mruAccess(st[0], assoc_, way);
+        return;
+      case PolicyKind::Qlru:
+        setAge(st, way, qlruPromote(qlru_, ageOf(st, way)));
+        if (!qlru_.umo)
+            qlruNormalize(qlru_, st, static_cast<int>(way), valid);
+        return;
+      case PolicyKind::Permutation: {
+        std::uint8_t *order = bytesOf(st);
+        permApply(order,
+                  perm_->hitPerms[permPositionOf(order, assoc_, way)]);
+        return;
+      }
+    }
+}
+
+std::string
+Policy::debugState(const std::uint64_t *st) const
+{
+    std::ostringstream os;
+    switch (kind_) {
+      case PolicyKind::Lru:
+      case PolicyKind::Fifo:
+      case PolicyKind::Permutation:
+        for (unsigned w = 0; w < assoc_; ++w)
+            os << (w ? " " : "") << unsigned{bytesOf(st)[w]};
+        break;
+      case PolicyKind::Plru:
+        for (unsigned n = 0; n + 1 < assoc_; ++n)
+            os << ((st[0] >> n) & 1);
+        break;
+      case PolicyKind::Random:
+        break;
+      case PolicyKind::Mru:
+      case PolicyKind::MruSbv:
+        for (unsigned w = 0; w < assoc_; ++w)
+            os << ((st[0] >> w) & 1);
+        break;
+      case PolicyKind::Qlru:
+        for (unsigned w = 0; w < assoc_; ++w)
+            os << ageOf(st, w);
+        break;
+    }
+    return os.str();
 }
 
 // -------------------------------------------------------------- factory --
 
-std::unique_ptr<SetPolicy>
+Policy
 makePolicy(const std::string &name, unsigned assoc, Rng *rng)
 {
     if (name == "LRU")
-        return std::make_unique<LruPolicy>(assoc);
+        return {PolicyKind::Lru, assoc};
     if (name == "FIFO")
-        return std::make_unique<FifoPolicy>(assoc);
+        return {PolicyKind::Fifo, assoc};
     if (name == "PLRU")
-        return std::make_unique<PlruPolicy>(assoc);
+        return {PolicyKind::Plru, assoc};
     if (name == "RANDOM")
-        return std::make_unique<RandomPolicy>(assoc, rng);
+        return {PolicyKind::Random, assoc, rng};
     if (name == "MRU")
-        return std::make_unique<MruPolicy>(assoc, false);
+        return {PolicyKind::Mru, assoc};
     if (name == "MRU_SBV" || name == "MRU*")
-        return std::make_unique<MruPolicy>(assoc, true);
+        return {PolicyKind::MruSbv, assoc};
     if (auto spec = QlruSpec::parse(name))
-        return std::make_unique<QlruPolicy>(assoc, *spec, rng);
+        return {*spec, assoc, rng};
     fatal("unknown replacement policy '", name, "'");
 }
 

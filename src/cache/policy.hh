@@ -1,11 +1,14 @@
 /**
  * @file
- * Cache replacement policies (paper §VI-B).
+ * Cache replacement policies (paper §VI-B) as flat-state kernels.
  *
- * One policy instance manages the state of a single cache set. The cache
- * owns the valid bits; policies are consulted for insertion positions and
- * notified of hits and insertions. The modelled policies are exactly
- * those the paper discusses:
+ * A Policy is a small value: which kernel (an enum), the associativity,
+ * and the kernel's parameters. It holds no per-set state. Each cache set
+ * keeps its replacement state in stateWords() 64-bit words owned by the
+ * caller, and its occupancy as one WayMask word. A Cache keeps the words
+ * of all its sets in one flat array; PolicySim keeps one set's. The
+ * Policy methods are the only statement of each policy's semantics. The
+ * modelled policies are exactly those the paper discusses:
  *
  *  - LRU, FIFO, tree-based PLRU, Random (§VI-B1)
  *  - MRU (a.k.a. bit-PLRU / PLRUm / NRU), including the Sandy Bridge
@@ -14,6 +17,15 @@
  *  - the full QLRU family parameterized by hit-promotion function Hxy,
  *    insertion age Mx / MRpx, insertion/replacement location R0-R2, age
  *    update U0-U3, and the UMO ("update on miss only") flag (§VI-B2)
+ *  - explicit permutation policies (§VI-B1; see permutation.hh)
+ *
+ * State layout per set, by kernel:
+ *  - LRU, FIFO: one byte per way, its recency rank (0 = next victim);
+ *  - PLRU: the assoc-1 tree bits in one word, heap order, bit 0 = root;
+ *  - MRU, MRU_SBV: one status bit per way in one word;
+ *  - QLRU: a 2-bit age per way, 32 ways per word;
+ *  - permutation: one byte per position, the way at that position;
+ *  - RANDOM: no state.
  */
 
 #ifndef NB_CACHE_POLICY_HH
@@ -30,160 +42,16 @@
 namespace nb::cache
 {
 
-/** Replacement state for one cache set. */
-class SetPolicy
-{
-  public:
-    explicit SetPolicy(unsigned assoc) : assoc_(assoc) {}
-    virtual ~SetPolicy() = default;
+/** Occupancy of one set: bit w is set iff way w holds a valid line. */
+using WayMask = std::uint64_t;
 
-    unsigned assoc() const { return assoc_; }
+/** Largest associativity a WayMask can describe. */
+inline constexpr unsigned kMaxAssoc = 64;
 
-    /** Clear all state (e.g. after WBINVD). */
-    virtual void reset() = 0;
+/** Largest stateWords() of any kernel (byte-per-way state at kMaxAssoc). */
+inline constexpr unsigned kMaxStateWords = kMaxAssoc / 8;
 
-    /**
-     * Choose the way a new block is inserted into on a miss. @p valid
-     * gives current occupancy; the returned way may be empty (a fill)
-     * or occupied (a replacement).
-     */
-    virtual unsigned insertWay(const std::vector<bool> &valid) = 0;
-
-    /** Notify that a new block was inserted into @p way. */
-    virtual void onInsert(unsigned way, const std::vector<bool> &valid) = 0;
-
-    /** Notify that the block in @p way was accessed and hit. */
-    virtual void onHit(unsigned way, const std::vector<bool> &valid) = 0;
-
-    /** Notify that the block in @p way was invalidated (e.g. CLFLUSH). */
-    virtual void onInvalidate(unsigned way) {(void)way;}
-
-    /** Policy name using the paper's naming scheme. */
-    virtual std::string name() const = 0;
-
-    /** Deep copy (used by the policy-simulation tools). */
-    virtual std::unique_ptr<SetPolicy> clone() const = 0;
-
-    /** Internal state rendered for tests/debugging. */
-    virtual std::string debugState() const { return ""; }
-
-  protected:
-    unsigned assoc_;
-};
-
-/** Least-recently-used. */
-class LruPolicy : public SetPolicy
-{
-  public:
-    explicit LruPolicy(unsigned assoc);
-
-    void reset() override;
-    unsigned insertWay(const std::vector<bool> &valid) override;
-    void onInsert(unsigned way, const std::vector<bool> &valid) override;
-    void onHit(unsigned way, const std::vector<bool> &valid) override;
-    std::string name() const override { return "LRU"; }
-    std::unique_ptr<SetPolicy> clone() const override;
-    std::string debugState() const override;
-
-  private:
-    void touch(unsigned way);
-
-    /** stamps_[w]: higher = more recently used. */
-    std::vector<std::uint64_t> stamps_;
-    std::uint64_t clock_ = 0;
-};
-
-/** First-in first-out: hits do not update the state. */
-class FifoPolicy : public SetPolicy
-{
-  public:
-    explicit FifoPolicy(unsigned assoc);
-
-    void reset() override;
-    unsigned insertWay(const std::vector<bool> &valid) override;
-    void onInsert(unsigned way, const std::vector<bool> &valid) override;
-    void onHit(unsigned way, const std::vector<bool> &valid) override;
-    std::string name() const override { return "FIFO"; }
-    std::unique_ptr<SetPolicy> clone() const override;
-    std::string debugState() const override;
-
-  private:
-    std::vector<std::uint64_t> stamps_;
-    std::uint64_t clock_ = 0;
-};
-
-/**
- * Tree-based pseudo-LRU (§VI-B1): a binary tree per set; the tree bits
- * point to the victim; accesses flip the bits on the root-to-leaf path
- * away from the accessed element. Associativity must be a power of two.
- */
-class PlruPolicy : public SetPolicy
-{
-  public:
-    explicit PlruPolicy(unsigned assoc);
-
-    void reset() override;
-    unsigned insertWay(const std::vector<bool> &valid) override;
-    void onInsert(unsigned way, const std::vector<bool> &valid) override;
-    void onHit(unsigned way, const std::vector<bool> &valid) override;
-    std::string name() const override { return "PLRU"; }
-    std::unique_ptr<SetPolicy> clone() const override;
-    std::string debugState() const override;
-
-  private:
-    void touch(unsigned way);
-    unsigned victim() const;
-
-    /** Heap-layout tree bits; bits_[0] is the root. bit=0 points left. */
-    std::vector<std::uint8_t> bits_;
-    unsigned levels_;
-};
-
-/** Uniform-random replacement (needs the machine RNG for determinism). */
-class RandomPolicy : public SetPolicy
-{
-  public:
-    RandomPolicy(unsigned assoc, Rng *rng);
-
-    void reset() override {}
-    unsigned insertWay(const std::vector<bool> &valid) override;
-    void onInsert(unsigned, const std::vector<bool> &) override {}
-    void onHit(unsigned, const std::vector<bool> &) override {}
-    std::string name() const override { return "RANDOM"; }
-    std::unique_ptr<SetPolicy> clone() const override;
-
-  private:
-    Rng *rng_;
-};
-
-/**
- * MRU / bit-PLRU / PLRUm / NRU (§VI-B2): one status bit per line. An
- * access clears the line's bit; if it was the last set bit, all other
- * bits are set. A miss replaces the leftmost line whose bit is set.
- *
- * The Sandy Bridge variant (Table I footnote, §VI-D) additionally sets
- * all bits to one while the cache is not yet full after WBINVD.
- */
-class MruPolicy : public SetPolicy
-{
-  public:
-    /** @param sandy_bridge_variant enable the set-all-on-fill behaviour */
-    MruPolicy(unsigned assoc, bool sandy_bridge_variant);
-
-    void reset() override;
-    unsigned insertWay(const std::vector<bool> &valid) override;
-    void onInsert(unsigned way, const std::vector<bool> &valid) override;
-    void onHit(unsigned way, const std::vector<bool> &valid) override;
-    std::string name() const override;
-    std::unique_ptr<SetPolicy> clone() const override;
-    std::string debugState() const override;
-
-  private:
-    void access(unsigned way);
-
-    std::vector<std::uint8_t> bits_;
-    bool sbVariant_;
-};
+struct PermutationSpec;
 
 /** Parameters of a QLRU variant (§VI-B2). */
 struct QlruSpec
@@ -216,58 +84,83 @@ struct QlruSpec
     bool isValid() const;
 };
 
-/** Quad-age LRU (QLRU / 2-bit RRIP) with the paper's parameter space. */
-class QlruPolicy : public SetPolicy
+/** The replacement kernels. */
+enum class PolicyKind : std::uint8_t
+{
+    Lru,
+    Fifo,
+    Plru,
+    Random,
+    Mru,
+    MruSbv,
+    Qlru,
+    Permutation,
+};
+
+/**
+ * One replacement policy, applied to per-set state the caller owns.
+ *
+ * Every operation takes the set's state words and its valid mask. A miss
+ * calls insertWay() to choose the way (an empty one while the set is not
+ * full, else the victim), then onInsert() with the mask as it is after
+ * the fill. A hit calls onHit(). Invalidating a line only clears its
+ * valid bit; no kernel reacts to it.
+ */
+class Policy
 {
   public:
-    QlruPolicy(unsigned assoc, const QlruSpec &spec, Rng *rng);
+    /** An unset policy (assoc 0); a Cache rejects it. */
+    Policy() = default;
+    /** A kernel without parameters (not Qlru or Permutation). */
+    Policy(PolicyKind kind, unsigned assoc, Rng *rng = nullptr);
+    /** A QLRU variant; probabilistic insertion draws from @p rng. */
+    Policy(const QlruSpec &spec, unsigned assoc, Rng *rng);
+    /** A permutation policy. */
+    explicit Policy(PermutationSpec spec);
 
-    void reset() override;
-    unsigned insertWay(const std::vector<bool> &valid) override;
-    void onInsert(unsigned way, const std::vector<bool> &valid) override;
-    void onHit(unsigned way, const std::vector<bool> &valid) override;
-    std::string name() const override { return spec_.name(); }
-    std::unique_ptr<SetPolicy> clone() const override;
-    std::string debugState() const override;
+    PolicyKind kind() const { return kind_; }
+    unsigned assoc() const { return assoc_; }
+    /** Number of 64-bit state words per set. */
+    unsigned stateWords() const { return words_; }
 
-    const QlruSpec &spec() const { return spec_; }
+    /** Policy name using the paper's naming scheme. */
+    std::string name() const;
 
-    /** Swap the spec while keeping the ages (used by set dueling). */
-    void setSpec(const QlruSpec &spec);
+    /** Put a set's state in its after-WBINVD form. */
+    void reset(std::uint64_t *st) const;
 
-    /** Ages vector (for tests). */
-    const std::vector<std::uint8_t> &ages() const { return ages_; }
+    /** Way a new block goes into on a miss; may draw from the RNG. */
+    unsigned insertWay(std::uint64_t *st, WayMask valid) const;
+
+    /** A new block was put into @p way; may draw from the RNG. */
+    void onInsert(std::uint64_t *st, unsigned way, WayMask valid) const;
+
+    /** The block in @p way was accessed and hit. */
+    void onHit(std::uint64_t *st, unsigned way, WayMask valid) const;
+
+    /** A set's state rendered for tests and debugging. */
+    std::string debugState(const std::uint64_t *st) const;
 
   private:
-    /**
-     * Apply the age update (§VI-B2): if no valid block has age 3, update
-     * ages per the U variant. @p accessed is the way excluded by U1/U3,
-     * or nullopt (miss-time update of UMO variants).
-     */
-    void normalize(std::optional<unsigned> accessed,
-                   const std::vector<bool> &valid);
-
-    unsigned promote(unsigned age) const;
-    unsigned chooseInsertAge();
-
-    QlruSpec spec_;
-    Rng *rng_;
-    std::vector<std::uint8_t> ages_;
+    PolicyKind kind_ = PolicyKind::Lru;
+    unsigned assoc_ = 0;
+    unsigned words_ = 0;
+    QlruSpec qlru_;
+    Rng *rng_ = nullptr;
+    std::shared_ptr<const PermutationSpec> perm_;
 };
 
 /**
  * Parse any policy name ("LRU", "FIFO", "PLRU", "MRU", "MRU_SBV",
- * "RANDOM", or a QLRU name) and build an instance.
+ * "RANDOM", or a QLRU name) and build the policy.
  *
  * @throws nb::FatalError for unknown names.
  */
-std::unique_ptr<SetPolicy> makePolicy(const std::string &name,
-                                      unsigned assoc, Rng *rng);
+Policy makePolicy(const std::string &name, unsigned assoc, Rng *rng);
 
 /**
  * All "meaningful" QLRU variants (§VI-C1 compares measurements against
- * them). Deterministic insertion only; @p max_total truncates the list
- * for tests.
+ * them). Deterministic insertion only.
  */
 std::vector<QlruSpec> allQlruSpecs();
 

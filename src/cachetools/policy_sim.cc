@@ -62,37 +62,43 @@ accessSeqToString(const std::vector<SeqAccess> &seq)
     return out;
 }
 
-PolicySim::PolicySim(std::unique_ptr<cache::SetPolicy> policy)
-    : policy_(std::move(policy))
+PolicySim::PolicySim(cache::Policy policy) : policy_(std::move(policy))
 {
-    NB_ASSERT(policy_ != nullptr, "PolicySim requires a policy");
-    tags_.assign(policy_->assoc(), -1);
-    valid_.assign(policy_->assoc(), false);
+    NB_ASSERT(policy_.assoc() > 0, "PolicySim requires a policy");
+    policy_.reset(state_.data());
+}
+
+int
+PolicySim::wayOf(int block) const
+{
+    for (unsigned w = 0; w < policy_.assoc(); ++w) {
+        if (((valid_ >> w) & 1) && tags_[w] == block)
+            return static_cast<int>(w);
+    }
+    return -1;
 }
 
 bool
 PolicySim::access(int block)
 {
-    for (unsigned w = 0; w < tags_.size(); ++w) {
-        if (valid_[w] && tags_[w] == block) {
-            policy_->onHit(w, valid_);
-            return true;
-        }
+    int hit = wayOf(block);
+    if (hit >= 0) {
+        policy_.onHit(state_.data(), static_cast<unsigned>(hit), valid_);
+        return true;
     }
-    unsigned way = policy_->insertWay(valid_);
-    NB_ASSERT(way < tags_.size(), "policy returned bad way");
+    unsigned way = policy_.insertWay(state_.data(), valid_);
+    NB_ASSERT(way < policy_.assoc(), "policy returned bad way");
     tags_[way] = block;
-    valid_[way] = true;
-    policy_->onInsert(way, valid_);
+    valid_ |= cache::WayMask{1} << way;
+    policy_.onInsert(state_.data(), way, valid_);
     return false;
 }
 
 void
 PolicySim::flush()
 {
-    tags_.assign(tags_.size(), -1);
-    valid_.assign(valid_.size(), false);
-    policy_->reset();
+    valid_ = 0;
+    policy_.reset(state_.data());
 }
 
 unsigned

@@ -11,7 +11,8 @@
 #ifndef NB_CACHETOOLS_POLICY_SIM_HH
 #define NB_CACHETOOLS_POLICY_SIM_HH
 
-#include <memory>
+#include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -40,11 +41,15 @@ std::vector<SeqAccess> parseAccessSeq(const std::string &text);
 /** Render a sequence back to its string form (for reports). */
 std::string accessSeqToString(const std::vector<SeqAccess> &seq);
 
-/** A software-simulated cache set. */
+/**
+ * A software-simulated cache set: one set's tags, valid mask, and
+ * replacement state, driven by the same Policy kernel a Cache uses.
+ * Copies are independent.
+ */
 class PolicySim
 {
   public:
-    PolicySim(std::unique_ptr<cache::SetPolicy> policy);
+    explicit PolicySim(cache::Policy policy);
 
     /** Access a block; returns true on a hit. */
     bool access(int block);
@@ -59,13 +64,23 @@ class PolicySim
     /** Per-access hit/miss trace of a sequence. */
     std::vector<bool> trace(const std::vector<SeqAccess> &seq);
 
-    const cache::SetPolicy &policy() const { return *policy_; }
-    unsigned assoc() const { return policy_->assoc(); }
+    const cache::Policy &policy() const { return policy_; }
+    unsigned assoc() const { return policy_.assoc(); }
+
+    /** Way holding @p block, or -1 if it is not cached. */
+    int wayOf(int block) const;
+
+    /** Replacement state rendered by the policy (for tests). */
+    std::string debugState() const
+    {
+        return policy_.debugState(state_.data());
+    }
 
   private:
-    std::unique_ptr<cache::SetPolicy> policy_;
-    std::vector<int> tags_;
-    std::vector<bool> valid_;
+    cache::Policy policy_;
+    std::array<std::uint64_t, cache::kMaxStateWords> state_{};
+    std::array<int, cache::kMaxAssoc> tags_{};
+    cache::WayMask valid_ = 0;
 };
 
 } // namespace nb::cachetools

@@ -929,6 +929,10 @@ Engine::runCampaign(const std::vector<core::BenchmarkSpec> &specs,
                         resolved.cycleBudget = options.specBudget;
                     if (options.freshMachinePerSpec) {
                         sim::Machine machine(ua, session_opt.seed);
+                        {
+                            std::lock_guard<std::mutex> lock(mutex_);
+                            ++constructed_;
+                        }
                         core::Runner runner(machine,
                                             session_opt.mode);
                         // The machine is private per spec (layout

@@ -282,8 +282,9 @@ class Engine
     std::size_t poolSize() const;
 
     /**
-     * Total machines constructed over this engine's LIFETIME. This is
-     * a monotonic counter, deliberately not tied to the pool's
+     * Total machines constructed over this engine's LIFETIME: pooled
+     * ones and the per-spec machines of freshMachinePerSpec campaigns
+     * alike. This is a monotonic counter, deliberately not tied to the pool's
      * current contents: clearPool() drops the machines but keeps the
      * counters, so construction cost across clears stays visible.
      * Call resetStats() for a fresh measurement window.

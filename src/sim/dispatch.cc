@@ -19,6 +19,7 @@
  * two in lockstep and extend the parity suite when adding opcodes.
  */
 
+#include <algorithm>
 #include <bit>
 #include <optional>
 #include <sstream>

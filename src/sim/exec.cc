@@ -12,6 +12,7 @@
  * bench gate measures against.
  */
 
+#include <algorithm>
 #include <bit>
 
 #include "common/bits.hh"

@@ -2,10 +2,13 @@
  * @file
  * Tests for the cache structures: geometry, the hierarchy (inclusive L3
  * with back-invalidation), slice hashing, prefetchers, uncore counters,
- * permutation policies, and set dueling.
+ * lazy flush generations, permutation policies, and set dueling.
  */
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <tuple>
 
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
@@ -34,9 +37,7 @@ smallCache(const std::string &policy = "LRU", Addr size = 4096,
     cfg.name = "test";
     cfg.sizeBytes = size;
     cfg.assoc = assoc;
-    cfg.policyFactory = [=](unsigned) {
-        return makePolicy(policy, assoc, &testRng());
-    };
+    cfg.policy = makePolicy(policy, assoc, &testRng());
     return cfg;
 }
 
@@ -113,6 +114,169 @@ TEST(Cache, OccupancyTracking)
         c.access(i * 0x400, false);
     EXPECT_TRUE(c.setFull(0));
     EXPECT_EQ(c.setOccupancy(0), 4u);
+}
+
+// ------------------------------------------------ flush generations --
+
+/** Builds a cache config on a given RNG and PSEL counter, so that a
+ *  flushed cache can be compared with a newly built twin whose RNG and
+ *  PSEL are copies of its own. */
+using CacheMaker = std::function<CacheConfig(Rng *, DuelState *)>;
+
+/** What an operation reveals: hit, way, evicted line (or ~0), dirty. */
+using Outcome = std::tuple<bool, unsigned, Addr, bool>;
+
+/** Apply operation @p op (0-59 access, 60-79 no-allocate access, else
+ *  invalidate) to @p c. */
+Outcome
+applyOp(Cache &c, unsigned op, Addr addr, bool write)
+{
+    if (op < 60) {
+        auto r = c.access(addr, write);
+        return {r.hit, r.way, r.evicted.value_or(~Addr{0}),
+                r.evictedDirty};
+    }
+    if (op < 80) {
+        auto r = c.accessNoAlloc(addr, write);
+        return {r.hit, r.way, ~Addr{0}, false};
+    }
+    return {c.invalidate(addr), 0, ~Addr{0}, false};
+}
+
+/**
+ * Seeded interleaving of access / accessNoAlloc / invalidate / flushAll.
+ * After each flush, every set must read empty with freshly reset policy
+ * state, and the following operations must give the same trace as a
+ * newly built cache with an equal RNG (and PSEL) state.
+ */
+void
+checkLazyFlush(const CacheMaker &make, const std::string &label,
+               unsigned rounds = 8)
+{
+    Rng rng(7);
+    DuelState duel(10);
+    Cache live(make(&rng, &duel));
+    const unsigned sets = live.numSets();
+    const Addr blocks = static_cast<Addr>(sets) * (live.assoc() + 3);
+    Rng ops(13);
+    auto next_addr = [&] { return ops.nextBelow(blocks) * live.lineSize(); };
+
+    for (unsigned round = 0; round < rounds; ++round) {
+        for (int i = 0; i < 150; ++i) {
+            auto op = static_cast<unsigned>(ops.nextBelow(100));
+            Addr addr = next_addr();
+            if (op >= 97)
+                live.flushAll();
+            else
+                applyOp(live, op, addr, ops.oneIn(3));
+        }
+        live.flushAll();
+
+        Rng twin_rng = rng;
+        DuelState twin_duel = duel;
+        Cache twin(make(&twin_rng, &twin_duel));
+        for (unsigned s = 0; s < sets; ++s) {
+            ASSERT_EQ(live.setOccupancy(s), 0u) << label << " set " << s;
+            ASSERT_FALSE(live.setFull(s)) << label << " set " << s;
+            ASSERT_EQ(live.debugState(s), twin.debugState(s))
+                << label << " set " << s;
+        }
+        for (Addr b = 0; b < blocks; ++b)
+            ASSERT_FALSE(live.probe(b * live.lineSize())) << label;
+
+        for (int i = 0; i < 100; ++i) {
+            auto op = static_cast<unsigned>(ops.nextBelow(100));
+            Addr addr = next_addr();
+            bool write = ops.oneIn(3);
+            ASSERT_EQ(applyOp(live, op, addr, write),
+                      applyOp(twin, op, addr, write))
+                << label << " round " << round << " step " << i;
+        }
+        for (unsigned s = 0; s < sets; ++s) {
+            ASSERT_EQ(live.setOccupancy(s), twin.setOccupancy(s)) << label;
+            ASSERT_EQ(live.debugState(s), twin.debugState(s)) << label;
+        }
+        ASSERT_EQ(Rng(rng).next(), Rng(twin_rng).next()) << label;
+        ASSERT_EQ(duel.psel(), twin_duel.psel()) << label;
+    }
+}
+
+TEST(FlushGeneration, EveryPolicyReadsEmptyAndReplaysLikeANewCache)
+{
+    std::vector<std::string> names = {
+        "LRU",  "FIFO", "PLRU", "MRU", "MRU_SBV", "MRU*", "RANDOM",
+        "QLRU_H11_MR161_R1_U2", "QLRU_H11_MR161_R0_U0",
+        "QLRU_H00_MR22_R0_U0_UMO"};
+    for (const auto &spec : allQlruSpecs())
+        names.push_back(spec.name());
+    for (const auto &name : names) {
+        for (unsigned assoc : {4u, 16u}) {
+            checkLazyFlush(
+                [&](Rng *rng, DuelState *) {
+                    CacheConfig cfg;
+                    cfg.sizeBytes = 8 * assoc * 64;
+                    cfg.assoc = assoc;
+                    cfg.policy = makePolicy(name, assoc, rng);
+                    return cfg;
+                },
+                name + "/" + std::to_string(assoc), 3);
+        }
+    }
+}
+
+TEST(FlushGeneration, PermutationPolicyReplaysLikeANewCache)
+{
+    checkLazyFlush(
+        [](Rng *, DuelState *) {
+            CacheConfig cfg;
+            cfg.sizeBytes = 8 * 4 * 64;
+            cfg.assoc = 4;
+            cfg.policy = Policy(PermutationSpec::fifo(4));
+            return cfg;
+        },
+        "PERMUTATION");
+}
+
+TEST(FlushGeneration, AdaptiveDuelingL3ReplaysLikeANewCache)
+{
+    // The Ivy Bridge duel (M1 vs MR161), on a 16-set, 12-way slice with
+    // two leader sets per policy. PSEL survives flushes; the twin gets a
+    // copy of it.
+    const auto &l3 = uarch::getMicroArch("IvyBridge").cacheConfig;
+    auto spec_a = QlruSpec::parse(l3.l3Dueling.policyA).value();
+    auto spec_b = QlruSpec::parse(l3.l3Dueling.policyB).value();
+    checkLazyFlush(
+        [&](Rng *rng, DuelState *duel) {
+            CacheConfig cfg;
+            cfg.sizeBytes = 16 * 12 * 64;
+            cfg.assoc = 12;
+            cfg.policy = Policy(spec_a, 12, rng);
+            DuelingConfig leaders;
+            leaders.leaders = {{-1, 2, 3, DuelRole::LeaderA},
+                               {-1, 9, 10, DuelRole::LeaderB}};
+            cfg.dueling = CacheDueling{Policy(spec_b, 12, rng), leaders,
+                                       0, duel};
+            return cfg;
+        },
+        "ADAPTIVE", 24);
+}
+
+TEST(FlushGeneration, HierarchyWbinvdEmptiesEveryLevel)
+{
+    Rng rng(1);
+    Hierarchy h(uarch::getMicroArch("Skylake").cacheConfig, &rng);
+    for (Addr a = 0; a < 64 * 1024; a += 64)
+        h.access(a, AccessType::Store);
+    h.wbinvd();
+    for (unsigned s = 0; s < h.l1().numSets(); ++s)
+        EXPECT_EQ(h.l1().setOccupancy(s), 0u);
+    for (unsigned s = 0; s < h.l2().numSets(); ++s)
+        EXPECT_EQ(h.l2().setOccupancy(s), 0u);
+    for (unsigned i = 0; i < h.numSlices(); ++i) {
+        for (unsigned s = 0; s < h.l3Slice(i).numSets(); ++s)
+            EXPECT_EQ(h.l3Slice(i).setOccupancy(s), 0u);
+    }
+    EXPECT_EQ(h.access(0x40, AccessType::Load).level, HitLevel::Memory);
 }
 
 // --------------------------------------------------------- hierarchy --
@@ -312,8 +476,7 @@ TEST(Permutation, LruSpecMatchesLruPolicy)
     Rng rng(1);
     auto spec = PermutationSpec::lru(4);
     ASSERT_TRUE(spec.isValid());
-    cachetools::PolicySim as_perm(
-        std::make_unique<PermutationPolicy>(4, spec));
+    cachetools::PolicySim as_perm{Policy(spec)};
     cachetools::PolicySim real(makePolicy("LRU", 4, &rng));
     Rng seq_rng(2);
     for (int i = 0; i < 2000; ++i) {
@@ -326,8 +489,7 @@ TEST(Permutation, FifoSpecMatchesFifoPolicy)
 {
     Rng rng(1);
     auto spec = PermutationSpec::fifo(4);
-    cachetools::PolicySim as_perm(
-        std::make_unique<PermutationPolicy>(4, spec));
+    cachetools::PolicySim as_perm{Policy(spec)};
     cachetools::PolicySim real(makePolicy("FIFO", 4, &rng));
     Rng seq_rng(3);
     for (int i = 0; i < 2000; ++i) {
@@ -373,26 +535,55 @@ TEST(Dueling, PselSaturates)
     EXPECT_EQ(duel.winner(), DuelRole::LeaderA);
 }
 
+/** A 4-set, 4-way cache dueling @p spec_a (leader set 0) against
+ *  @p spec_b (leader set 1); sets 2 and 3 follow the PSEL winner. */
+CacheConfig
+duelingCache(const QlruSpec &spec_a, const QlruSpec &spec_b,
+             DuelState *duel, Rng *rng)
+{
+    CacheConfig cfg;
+    cfg.name = "duel";
+    cfg.sizeBytes = 4 * 4 * 64;
+    cfg.assoc = 4;
+    cfg.policy = Policy(spec_a, 4, rng);
+    DuelingConfig leaders;
+    leaders.leaders = {{-1, 0, 0, DuelRole::LeaderA},
+                       {-1, 1, 1, DuelRole::LeaderB}};
+    cfg.dueling = CacheDueling{Policy(spec_b, 4, rng), leaders, 0, duel};
+    return cfg;
+}
+
+/** Address of block @p k of set @p set in duelingCache(). */
+Addr
+duelLine(unsigned set, unsigned k)
+{
+    return (static_cast<Addr>(k) * 4 + set) * 64;
+}
+
 TEST(Dueling, FollowerSwitchesInsertionPolicy)
 {
     Rng rng(1);
     DuelState duel(10);
     auto spec_a = QlruSpec::parse("QLRU_H11_M1_R1_U2").value();
     auto spec_b = QlruSpec::parse("QLRU_H11_M3_R1_U2").value();
-    AdaptiveQlruPolicy follower(4, spec_a, spec_b, DuelRole::Follower,
-                                &duel, &rng);
-    std::vector<bool> valid(4, true);
-    follower.reset();
+    Cache c(duelingCache(spec_a, spec_b, &duel, &rng));
+
+    // Fill follower set 2 while B wins: every line inserted at age 3.
+    for (int i = 0; i < 2000; ++i)
+        duel.recordMiss(DuelRole::LeaderA); // B wins
+    for (unsigned k = 0; k < 4; ++k)
+        c.access(duelLine(2, k), false);
+    EXPECT_EQ(c.debugState(2), "3333");
 
     // With A winning, insertions use age 1; with B winning, age 3.
     for (int i = 0; i < 2000; ++i)
         duel.recordMiss(DuelRole::LeaderB); // A wins
-    follower.onInsert(0, valid);
-    EXPECT_EQ(follower.debugState()[0], '1');
+    EXPECT_EQ(c.access(duelLine(2, 4), false).way, 0u);
+    EXPECT_EQ(c.debugState(2)[0], '1');
     for (int i = 0; i < 2000; ++i)
         duel.recordMiss(DuelRole::LeaderA); // B wins
-    follower.onInsert(1, valid);
-    EXPECT_EQ(follower.debugState()[1], '3');
+    EXPECT_EQ(c.access(duelLine(2, 5), false).way, 1u);
+    EXPECT_EQ(c.debugState(2)[1], '3');
 }
 
 TEST(Dueling, LeaderIgnoresPsel)
@@ -401,13 +592,19 @@ TEST(Dueling, LeaderIgnoresPsel)
     DuelState duel(10);
     auto spec_a = QlruSpec::parse("QLRU_H11_M1_R1_U2").value();
     auto spec_b = QlruSpec::parse("QLRU_H11_M3_R1_U2").value();
-    AdaptiveQlruPolicy leader(4, spec_a, spec_b, DuelRole::LeaderA,
-                              &duel, &rng);
-    std::vector<bool> valid(4, true);
+    Cache c(duelingCache(spec_a, spec_b, &duel, &rng));
     for (int i = 0; i < 2000; ++i)
         duel.recordMiss(DuelRole::LeaderA); // B wins the duel
-    leader.onInsert(0, valid);
-    EXPECT_EQ(leader.debugState()[0], '1'); // still uses spec A
+    // Leader set 0 still follows spec A, block for block.
+    cachetools::PolicySim as_a(Policy(spec_a, 4, &rng));
+    cachetools::PolicySim as_b(Policy(spec_b, 4, &rng));
+    for (unsigned k = 0; k < 5; ++k) {
+        c.access(duelLine(0, k), false);
+        as_a.access(static_cast<int>(k));
+        as_b.access(static_cast<int>(k));
+    }
+    EXPECT_EQ(c.debugState(0), as_a.debugState());
+    EXPECT_NE(c.debugState(0), as_b.debugState());
 }
 
 TEST(Dueling, LeaderMissesMoveCounter)
@@ -415,12 +612,30 @@ TEST(Dueling, LeaderMissesMoveCounter)
     Rng rng(1);
     DuelState duel(10);
     auto spec = QlruSpec::parse("QLRU_H11_M1_R1_U2").value();
-    AdaptiveQlruPolicy leader(4, spec, spec, DuelRole::LeaderA, &duel,
-                              &rng);
-    std::vector<bool> valid(4, true);
+    Cache c(duelingCache(spec, spec, &duel, &rng));
     unsigned before = duel.psel();
-    leader.onInsert(0, valid);
+    c.access(duelLine(0, 0), false); // miss in a LeaderA set
     EXPECT_EQ(duel.psel(), before + 1);
+    c.access(duelLine(0, 0), false); // hit: no vote
+    c.access(duelLine(2, 0), false); // follower miss: no vote
+    c.accessNoAlloc(duelLine(0, 1), false); // no fill: no vote
+    EXPECT_EQ(duel.psel(), before + 1);
+    c.access(duelLine(1, 0), false); // miss in a LeaderB set
+    EXPECT_EQ(duel.psel(), before);
+}
+
+TEST(Dueling, FlushKeepsPsel)
+{
+    Rng rng(1);
+    DuelState duel(10);
+    auto spec = QlruSpec::parse("QLRU_H11_M1_R1_U2").value();
+    Cache c(duelingCache(spec, spec, &duel, &rng));
+    for (unsigned k = 0; k < 3; ++k)
+        c.access(duelLine(0, k), false);
+    unsigned psel = duel.psel();
+    c.flushAll();
+    EXPECT_EQ(duel.psel(), psel);
+    EXPECT_EQ(c.setOccupancy(0), 0u);
 }
 
 // -------------------------------------------- Table I configurations --

@@ -620,6 +620,27 @@ TEST(Campaign, FreshMachineRunsSetupPerUniqueSpec)
     EXPECT_EQ(engine.poolSize(), 0u);
 }
 
+TEST(Campaign, FreshMachineCampaignCountsEveryConstructedMachine)
+{
+    // One private machine per unique spec; duplicates are deduped and
+    // build none. The engine's lifetime counter and its telemetry both
+    // see them.
+    Engine engine;
+    engine.session({}); // one pooled machine beforehand
+    CampaignOptions opt;
+    opt.jobs = 3;
+    opt.freshMachinePerSpec = true;
+    constexpr unsigned kUnique = 7;
+    auto specs = countingSpecs(kUnique);
+    specs.push_back(specs[2]);
+    specs.push_back(specs[5]);
+    auto campaign = engine.runCampaign(specs, opt);
+    EXPECT_EQ(campaign.report.okCount, specs.size());
+    EXPECT_EQ(engine.machinesConstructed(), 1u + kUnique);
+    EXPECT_EQ(engine.telemetry().machinesConstructed, 1u + kUnique);
+    EXPECT_EQ(engine.poolSize(), 1u);
+}
+
 TEST(Campaign, FreshMachineSpecsSeeTheSetUpMachine)
 {
     // Specs planned against a prepared machine (here: an enlarged R14

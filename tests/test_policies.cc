@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the replacement-policy framework (§VI-B): behaviour of each
+ * Tests for the replacement-policy kernels (§VI-B): behaviour of each
  * policy, the QLRU naming scheme, and cross-policy property tests.
  */
 
@@ -129,30 +129,26 @@ TEST(Mru, PaperSemantics)
     // §VI-B2: access clears the line's bit; when the last set bit is
     // cleared all other bits are set; a miss replaces the leftmost line
     // whose bit is set.
-    auto policy = makePolicy("MRU", 4, &testRng());
-    std::vector<bool> valid(4, false);
+    auto sim = makeSim("MRU");
     // Fill ways 0..3.
-    for (unsigned w = 0; w < 4; ++w) {
-        EXPECT_EQ(policy->insertWay(valid), w);
-        valid[w] = true;
-        policy->onInsert(w, valid);
+    for (int b = 0; b < 4; ++b) {
+        sim.access(b);
+        EXPECT_EQ(sim.wayOf(b), b);
     }
     // bits: 0 -> last-set rule fired at way 3: bits = 1110 with way3=0.
-    EXPECT_EQ(policy->debugState(), "1110");
+    EXPECT_EQ(sim.debugState(), "1110");
     // Miss: replace leftmost set bit = way 0.
-    EXPECT_EQ(policy->insertWay(valid), 0u);
+    sim.access(4);
+    EXPECT_EQ(sim.wayOf(4), 0);
 }
 
 TEST(Mru, SandyBridgeVariantSetsAllBitsWhileFilling)
 {
-    auto policy = makePolicy("MRU_SBV", 4, &testRng());
-    std::vector<bool> valid(4, false);
-    for (unsigned w = 0; w < 3; ++w) {
-        policy->insertWay(valid);
-        valid[w] = true;
-        policy->onInsert(w, valid);
+    auto sim = makeSim("MRU_SBV");
+    for (int b = 0; b < 3; ++b) {
+        sim.access(b);
         // Not yet full: all bits stay set (Table I footnote).
-        EXPECT_EQ(policy->debugState(), "1111");
+        EXPECT_EQ(sim.debugState(), "1111");
     }
 }
 
@@ -246,16 +242,11 @@ TEST(Qlru, U0NormalizationAfterInsert)
     // further insertions keep their insertion age.
     auto spec = QlruSpec::parse("QLRU_H00_M0_R1_U0").value();
     Rng rng(3);
-    QlruPolicy policy(4, spec, &rng);
-    std::vector<bool> valid(4, false);
-    policy.insertWay(valid);
-    valid[0] = true;
-    policy.onInsert(0, valid);
-    EXPECT_EQ(policy.ages()[0], 3); // 0 + (3 - 0)
-    policy.insertWay(valid);
-    valid[1] = true;
-    policy.onInsert(1, valid);
-    EXPECT_EQ(policy.ages()[1], 0); // age-3 block exists: no update
+    PolicySim sim(Policy(spec, 4, &rng));
+    sim.access(0);
+    EXPECT_EQ(sim.debugState()[0], '3'); // 0 + (3 - 0)
+    sim.access(1);
+    EXPECT_EQ(sim.debugState()[1], '0'); // age-3 block exists: no update
 }
 
 TEST(Qlru, InsertionAgeChangesEvictionOrder)
@@ -272,8 +263,8 @@ TEST(Qlru, InsertionAgeChangesEvictionOrder)
         for (int k = 0; k < 24; ++k)
             seq.push_back({static_cast<int>(seq_rng.nextBelow(6)), true,
                            false});
-        PolicySim a(std::make_unique<QlruPolicy>(4, p_m1, &rng));
-        PolicySim b(std::make_unique<QlruPolicy>(4, p_m3, &rng));
+        PolicySim a(Policy(p_m1, 4, &rng));
+        PolicySim b(Policy(p_m3, 4, &rng));
         differ = a.runSequence(seq) != b.runSequence(seq);
     }
     EXPECT_TRUE(differ);
@@ -283,34 +274,31 @@ TEST(Qlru, R2InsertsRightmostWhileFilling)
 {
     auto spec = QlruSpec::parse("QLRU_H00_M1_R2_U1").value();
     Rng rng(3);
-    QlruPolicy policy(4, spec, &rng);
-    std::vector<bool> valid(4, false);
-    EXPECT_EQ(policy.insertWay(valid), 3u);
-    valid[3] = true;
-    policy.onInsert(3, valid);
-    EXPECT_EQ(policy.insertWay(valid), 2u);
+    PolicySim sim(Policy(spec, 4, &rng));
+    sim.access(0);
+    EXPECT_EQ(sim.wayOf(0), 3);
+    sim.access(1);
+    EXPECT_EQ(sim.wayOf(1), 2);
 }
 
 TEST(Qlru, HitPromotionFunction)
 {
     auto spec = QlruSpec::parse("QLRU_H21_M3_R1_U0").value();
     Rng rng(3);
-    QlruPolicy policy(2, spec, &rng);
-    std::vector<bool> valid(2, false);
+    PolicySim sim(Policy(spec, 2, &rng));
     // Fill both ways with age 3 so the normalization step stays
     // inactive while we exercise the promotion path on way 0.
-    for (unsigned w = 0; w < 2; ++w) {
-        policy.insertWay(valid);
-        valid[w] = true;
-        policy.onInsert(w, valid);
-        EXPECT_EQ(policy.ages()[w], 3); // M3 insertion
+    for (int b = 0; b < 2; ++b) {
+        sim.access(b);
+        EXPECT_EQ(sim.debugState()[sim.wayOf(b)], '3'); // M3 insertion
     }
-    policy.onHit(0, valid); // H2y: age 3 -> 2
-    EXPECT_EQ(policy.ages()[0], 2);
-    policy.onHit(0, valid); // age 2 -> y = 1
-    EXPECT_EQ(policy.ages()[0], 1);
-    policy.onHit(0, valid); // age 1 -> 0
-    EXPECT_EQ(policy.ages()[0], 0);
+    ASSERT_EQ(sim.wayOf(0), 0);
+    EXPECT_TRUE(sim.access(0)); // H2y: age 3 -> 2
+    EXPECT_EQ(sim.debugState()[0], '2');
+    EXPECT_TRUE(sim.access(0)); // age 2 -> y = 1
+    EXPECT_EQ(sim.debugState()[0], '1');
+    EXPECT_TRUE(sim.access(0)); // age 1 -> 0
+    EXPECT_EQ(sim.debugState()[0], '0');
 }
 
 TEST(Qlru, UmoDelaysAgingToMissTime)
@@ -328,8 +316,8 @@ TEST(Qlru, UmoDelaysAgingToMissTime)
         for (int k = 0; k < 24; ++k)
             seq.push_back({static_cast<int>(seq_rng.nextBelow(6)), true,
                            false});
-        PolicySim a(std::make_unique<QlruPolicy>(4, spec_now, &rng));
-        PolicySim b(std::make_unique<QlruPolicy>(4, spec_umo, &rng));
+        PolicySim a(Policy(spec_now, 4, &rng));
+        PolicySim b(Policy(spec_umo, 4, &rng));
         differ = a.runSequence(seq) != b.runSequence(seq);
     }
     EXPECT_TRUE(differ);
@@ -344,12 +332,9 @@ TEST(Qlru, ProbabilisticInsertionRate)
     int young = 0;
     constexpr int kTrials = 4000;
     for (int i = 0; i < kTrials; ++i) {
-        QlruPolicy policy(4, spec, &rng);
-        std::vector<bool> valid(4, false);
-        unsigned w = policy.insertWay(valid);
-        valid[w] = true;
-        policy.onInsert(w, valid);
-        if (policy.ages()[w] != 3)
+        PolicySim sim(Policy(spec, 4, &rng));
+        sim.access(0);
+        if (sim.debugState()[sim.wayOf(0)] != '3')
             ++young;
     }
     EXPECT_NEAR(young, kTrials / 16.0, 60);
@@ -420,15 +405,30 @@ TEST_P(PolicyProperty, DeterministicReplay)
 
 TEST_P(PolicyProperty, CloneIsIndependent)
 {
-    auto policy = makePolicy(GetParam(), 8, &testRng());
-    std::vector<bool> valid(8, true);
-    policy->reset();
-    auto copy = policy->clone();
-    // Mutate the original; the clone must keep its state.
-    std::string before = copy->debugState();
+    auto sim = makeSim(GetParam(), 8);
+    for (int b = 0; b < 8; ++b)
+        sim.access(b);
+    PolicySim copy = sim;
+    // Mutate the original; the copy must keep its state.
+    std::string before = copy.debugState();
     for (int i = 0; i < 16; ++i)
-        policy->onHit(static_cast<unsigned>(i % 8), valid);
-    EXPECT_EQ(copy->debugState(), before) << GetParam();
+        sim.access(i % 8 + (i / 8) * 8);
+    EXPECT_EQ(copy.debugState(), before) << GetParam();
+    for (int b = 0; b < 8; ++b)
+        EXPECT_GE(copy.wayOf(b), 0) << GetParam();
+}
+
+TEST_P(PolicyProperty, ResetStateMatchesNewPolicy)
+{
+    // flush() restores exactly the state a new simulator starts in.
+    auto fresh = makeSim(GetParam(), 8);
+    auto sim = makeSim(GetParam(), 8);
+    for (int b = 0; b < 20; ++b)
+        sim.access(b % 11);
+    sim.flush();
+    EXPECT_EQ(sim.debugState(), fresh.debugState()) << GetParam();
+    for (int b = 0; b < 8; ++b)
+        EXPECT_EQ(sim.wayOf(b), -1) << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -450,7 +450,7 @@ TEST_P(QlruVariantProperty, InsertedBlockResidentAndDeterministic)
     auto spec = specs[static_cast<std::size_t>(GetParam()) %
                       specs.size()];
     Rng rng(4);
-    PolicySim sim(std::make_unique<QlruPolicy>(8, spec, &rng));
+    PolicySim sim(Policy(spec, 8, &rng));
     Rng seq_rng(5);
     for (int i = 0; i < 200; ++i) {
         int b = static_cast<int>(seq_rng.nextBelow(12));

@@ -9,9 +9,14 @@ the check is robust to runner speed; a ratio more than `tolerance`
 times worse than its baseline fails the job.
 
 Checked ratios:
-  pooled_setup_ratio      BM_SessionSetupPooled / BM_SessionSetupCold
-                          (the Engine-pool amortization; regresses if
-                          pooled sessions start paying construction)
+  pooled_setup_vs_assemble  BM_SessionSetupPooled / BM_Assemble
+                          (the Engine-pool amortization: a pooled
+                          session must stay a small fraction of
+                          assembling one two-instruction snippet;
+                          regresses if pooled sessions start paying
+                          construction or setup work. Paired with the
+                          exact machines_constructed == 0 counter
+                          check below)
   campaign_jobs4_vs_serial  BM_CampaignJobs/4 / BM_CampaignSerialBatch
                           (parallel campaign throughput vs the
                           single-session batch; regresses if the
@@ -75,6 +80,12 @@ Checked ratios:
                           observer's relaxed counter bumps are
                           negligible next to assemble/decode, so this
                           is gated at 1.05x like trace_overhead)
+  wbinvd_vs_l1_hit        BM_HierarchyWbinvd / BM_HierarchyL1Hit
+                          (one WBINVD on Zen's full 8 MB L3 vs one
+                          L1-hit load; flush generations make WBINVD
+                          O(1), about one L1 hit, where walking every
+                          line cost ~10^4 of them -- regresses if an
+                          O(lines) flush comes back)
   budget_overhead         BM_HotpathBudget/1 / BM_HotpathBudget/0
                           (the threaded-dispatch hot path with a
                           never-tripping cycle budget armed vs
@@ -86,6 +97,12 @@ Checked ratios:
 Per-ratio tolerances: the baseline file may carry a "tolerances" map
 overriding --tolerance for individual ratios (used to pin the two
 disabled-path observability overheads at 1.05x instead of 2x).
+
+Checked exact counters (user counters a benchmark reports, which must
+equal the given value exactly; they are counts, not times):
+  BM_SessionSetupPooled machines_constructed == 0
+                          (a warm pool serves every session without
+                          building a machine)
 
 Usage:
   check_bench.py --baseline bench/BENCH_baseline.json \
@@ -101,7 +118,7 @@ TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 # ratio name -> (numerator benchmark, denominator benchmark)
 RATIOS = {
-    "pooled_setup_ratio": ("BM_SessionSetupPooled", "BM_SessionSetupCold"),
+    "pooled_setup_vs_assemble": ("BM_SessionSetupPooled", "BM_Assemble"),
     "campaign_jobs4_vs_serial": ("BM_CampaignJobs/4", "BM_CampaignSerialBatch"),
     "dedup_vs_nodedup": ("BM_CampaignDedup/dedup:1", "BM_CampaignDedup/dedup:0"),
     "table_jobs4_vs_serial": ("BM_TableCampaign/4", "BM_TableSerial"),
@@ -114,6 +131,12 @@ RATIOS = {
     "trace_overhead": ("BM_CampaignTrace/trace:1", "BM_CampaignTrace/trace:0"),
     "observe_overhead": ("BM_CampaignObserve/observe:1", "BM_CampaignObserve/observe:0"),
     "budget_overhead": ("BM_HotpathBudget/1", "BM_HotpathBudget/0"),
+    "wbinvd_vs_l1_hit": ("BM_HierarchyWbinvd", "BM_HierarchyL1Hit"),
+}
+
+# benchmark name -> {user counter: exact required value}
+EXACT_COUNTERS = {
+    "BM_SessionSetupPooled": {"machines_constructed": 0},
 }
 
 
@@ -128,14 +151,19 @@ def load_benchmarks(paths):
     return merged
 
 
-def real_time_ns(benchmarks, name):
+def find_entry(benchmarks, name):
     for entry in benchmarks:
         if entry.get("name") == name and entry.get("run_type", "iteration") == "iteration":
-            unit = TIME_UNIT_NS.get(entry.get("time_unit", "ns"))
-            if unit is None:
-                sys.exit(f"error: unknown time unit in entry '{name}'")
-            return entry["real_time"] * unit
+            return entry
     sys.exit(f"error: benchmark '{name}' not found in the merged results")
+
+
+def real_time_ns(benchmarks, name):
+    entry = find_entry(benchmarks, name)
+    unit = TIME_UNIT_NS.get(entry.get("time_unit", "ns"))
+    if unit is None:
+        sys.exit(f"error: unknown time unit in entry '{name}'")
+    return entry["real_time"] * unit
 
 
 def main():
@@ -183,8 +211,17 @@ def main():
         if value > limit:
             failed = True
 
+    for bench_name, counters in EXACT_COUNTERS.items():
+        entry = find_entry(merged["benchmarks"], bench_name)
+        for counter, required in counters.items():
+            value = entry.get(counter)
+            verdict = "ok" if value == required else "REGRESSION"
+            print(f"{bench_name} {counter}: observed {value}, required {required} -> {verdict}")
+            if value != required:
+                failed = True
+
     if failed:
-        sys.exit("error: benchmark regression detected (see ratios above)")
+        sys.exit("error: benchmark regression detected (see ratios and counters above)")
     print("bench check passed")
 
 
