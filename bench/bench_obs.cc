@@ -109,7 +109,7 @@ BM_CampaignTrace(benchmark::State &state)
     opt.dedup = false;
     opt.trace = state.range(0) ? &tracer : nullptr;
     auto specs = uniqueSpecs(kCampaignSize);
-    engine.runCampaign(specs, opt); // warm replicas + program caches
+    engine.runCampaign(specs, opt); // warm the program cache
     engine.resetStats();
     for (auto _ : state) {
         benchmark::DoNotOptimize(
@@ -140,7 +140,7 @@ BM_CampaignObserve(benchmark::State &state)
     opt.dedup = false;
     opt.observe = state.range(0) != 0;
     auto specs = uniqueSpecs(kCampaignSize);
-    engine.runCampaign(specs, opt); // warm replicas + program caches
+    engine.runCampaign(specs, opt); // warm the program cache
     engine.resetStats();
     for (auto _ : state)
         benchmark::DoNotOptimize(

@@ -39,7 +39,7 @@ BM_TableCampaign(benchmark::State &state)
     Engine engine;
     uops::TableBuildOptions opt;
     opt.jobs = static_cast<unsigned>(state.range(0));
-    uops::buildInstructionTable(engine, opt); // warm worker replicas
+    uops::buildInstructionTable(engine, opt); // warm the program cache
     engine.resetStats();
     std::size_t cache_hits = 0;
     for (auto _ : state) {

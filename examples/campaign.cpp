@@ -5,10 +5,11 @@
  *
  * Builds a small instruction-latency campaign (with some deliberate
  * duplicates and one failing spec), fans it out over 4 workers -- each
- * worker gets its own machine replica, so results are deterministic
- * and in input order -- and prints the per-spec outcomes plus the
- * CampaignReport (wall time, per-worker counts, error histogram,
- * dedup-cache stats).
+ * worker restores its own machine to the same post-setup snapshot
+ * before every spec, so results do not depend on the worker count
+ * and come back in input order -- and prints the per-spec outcomes
+ * plus the CampaignReport (wall time, per-worker counts, error
+ * histogram, dedup-cache stats).
  *
  * The CLI equivalent:
  *

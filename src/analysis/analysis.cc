@@ -971,7 +971,7 @@ struct LintCache
     std::mutex mutex;
     std::unordered_map<std::string, std::shared_ptr<const Report>>
         reports;
-    LintCacheStats stats;
+    CacheStats stats;
 
     static constexpr std::size_t kMaxEntries = 4096;
 };
@@ -1046,18 +1046,7 @@ lintCacheCounters()
 {
     LintCache &cache = lintCache();
     std::lock_guard<std::mutex> lock(cache.mutex);
-    return {cache.stats.hits, cache.stats.misses,
-            cache.stats.evictions};
-}
-
-LintCacheStats
-lintCacheStats()
-{
-    LintCacheStats out;
-    LintCache &cache = lintCache();
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    out = cache.stats;
-    return out;
+    return cache.stats;
 }
 
 } // namespace nb::analysis

@@ -300,6 +300,26 @@ Hierarchy::wbinvd()
     streamTable_.clear();
 }
 
+Hierarchy::Snapshot
+Hierarchy::snapshot() const
+{
+    bool untouched = l1_->stats().accesses() == 0 &&
+                     l2_->stats().accesses() == 0;
+    for (const auto &slice : l3_)
+        untouched = untouched && slice->stats().accesses() == 0;
+    NB_ASSERT(untouched, "cache snapshot after the caches were used");
+    return {duel_, pfControl_};
+}
+
+void
+Hierarchy::restore(const Snapshot &s)
+{
+    wbinvd();
+    clearStats();
+    duel_ = s.duel;
+    pfControl_ = s.pfControl;
+}
+
 void
 Hierarchy::clflush(Addr paddr)
 {

@@ -158,6 +158,24 @@ class Hierarchy
     DuelState &duelState() { return duel_; }
     const HierarchyConfig &config() const { return config_; }
 
+    /** The state restore() puts back besides the (empty) caches. */
+    struct Snapshot
+    {
+        DuelState duel;
+        std::uint64_t pfControl = 0;
+    };
+
+    /** Record PSEL and the prefetcher MSR. Nothing may have accessed
+     *  the caches yet: restore() empties them instead of copying
+     *  lines back. */
+    Snapshot snapshot() const;
+
+    /** Empty every cache (a WBINVD plus cleared statistics, O(1) per
+     *  cache through the flush generation) and put back @p s: the
+     *  hierarchy then behaves exactly like a newly built one that was
+     *  set up the same way, given the same RNG state. */
+    void restore(const Snapshot &s);
+
   private:
     /** Fill path on an L3 miss; returns the slice used. */
     void fillL3(Addr paddr, bool write, unsigned slice);

@@ -113,8 +113,9 @@ struct DuelingProbe
  * + probe); it assumes a machine in its just-booted state -- PSEL at
  * the saturating counter's midpoint -- with the R14 area reserved at
  * the same base as the planning runner's, so run it through a
- * campaign with freshMachinePerSpec and a machineSetup reserving
- * r14Size bytes (the profile builder does exactly that).
+ * campaign (whose workers restore their post-setup machine before
+ * every spec) with a machineSetup reserving r14Size bytes (the
+ * profile builder does exactly that).
  */
 struct DuelingPlan
 {

@@ -4,11 +4,11 @@
  *
  * The fan-out is deliberately simple: dedup first (so the work list
  * and the duplicate resolution are fixed before any thread starts),
- * then static strided assignment of the unique work list across the
- * workers. No dynamic work stealing -- a campaign's spec-to-worker
- * mapping is a pure function of (specs, options), which is what makes
- * repeated campaigns against fresh machines bit-identical (the
- * determinism guarantee in campaign.hh).
+ * then workers claim unique specs from a shared index. Which worker
+ * runs a spec does not matter: every worker restores its machine to
+ * the same post-setup snapshot before each spec, which is what makes
+ * outcomes independent of the worker count (the determinism guarantee
+ * in campaign.hh).
  */
 
 #include "campaign.hh"
@@ -668,7 +668,7 @@ Engine::runCampaign(const std::vector<core::BenchmarkSpec> &specs,
         session_opt.config =
             core::CounterConfig::parseFile(session_opt.configFile);
     session_opt.configFile.clear();
-    uarch::getMicroArch(session_opt.uarch);
+    const uarch::MicroArch &ua = uarch::getMicroArch(session_opt.uarch);
 
     // Dedup pass: uniqueIdx lists the spec indices to execute;
     // sourceOf maps every input spec to its position in uniqueIdx.
@@ -841,57 +841,37 @@ Engine::runCampaign(const std::vector<core::BenchmarkSpec> &specs,
         }
     };
 
-    // Fresh-machine mode reconstructs a machine per spec; resolve the
-    // uarch descriptor once, outside the workers.
-    const uarch::MicroArch &ua = uarch::getMicroArch(session_opt.uarch);
-
-    // Pooled machines outlive the campaign (and the observers vector),
-    // so an attached observer must be detached on every worker exit
-    // path, including exceptions and aborts.
-    struct ObserverScope
-    {
-        sim::Machine *machine = nullptr;
-        ~ObserverScope()
-        {
-            if (machine)
-                machine->setExecObserver(nullptr);
-        }
-    };
+    // Workers claim unique specs in plan order from one shared index,
+    // so a worker that drew cheap specs takes more of them.
+    std::atomic<std::size_t> next_unique{0};
 
     auto worker = [&](unsigned w) {
         auto worker_start = std::chrono::steady_clock::now();
         if (tracer)
             tracer->nameLane(w, "worker " + std::to_string(w));
         try {
-            // A pooled replica per worker in the default mode; in
-            // freshMachinePerSpec mode no pooled machine is used at
-            // all -- each spec gets a private, just-constructed one,
-            // so its outcome cannot depend on which worker ran it or
-            // which specs preceded it (layout invariance).
-            std::optional<Session> session;
-            ObserverScope observer_scope;
-            obs::PhaseTimes phase_base;
-            if (!options.freshMachinePerSpec) {
-                SessionOptions opt = session_opt;
-                opt.replica = w;
-                session.emplace(this->session(opt));
-                if (options.machineSetup)
-                    options.machineSetup(session->runner());
-                if (options.observe) {
-                    session->machine().setExecObserver(&observers[w]);
-                    observer_scope.machine = &session->machine();
-                }
-                // The pooled runner's phase accumulator carries
-                // earlier campaigns; window it to this one.
-                phase_base = session->runner().phaseTimes();
-            }
-            for (std::size_t u = w; u < unique_count; u += jobs) {
-                if (abort.load(std::memory_order_relaxed))
-                    return;
-                // Cooperative cancellation: stop picking up new work,
-                // but break (not return) so this worker's phase and
-                // timing accounting still folds into the report.
+            // A private machine, set up once and snapshotted; every
+            // attempt of every spec starts from that snapshot, so an
+            // outcome cannot depend on which worker ran it or what ran
+            // before it (layout invariance).
+            detail::MachineLease lease = construct(ua, session_opt);
+            sim::Machine &machine = *lease.machine;
+            core::Runner &runner = *lease.runner;
+            if (options.machineSetup)
+                options.machineSetup(runner);
+            const sim::Machine::Snapshot setup = machine.snapshot();
+            if (options.observe)
+                machine.setExecObserver(&observers[w]);
+
+            while (!abort.load(std::memory_order_relaxed)) {
+                // Cooperative cancellation: stop picking up new work;
+                // this worker's phase and timing accounting still
+                // folds into the report.
                 if (cancel && cancel->cancelled())
+                    break;
+                std::size_t u =
+                    next_unique.fetch_add(1, std::memory_order_relaxed);
+                if (u >= unique_count)
                     break;
                 // Slot pre-filled from a resume journal.
                 if (unique_outcomes[u].has_value())
@@ -912,6 +892,8 @@ Engine::runCampaign(const std::vector<core::BenchmarkSpec> &specs,
                 // One attempt: the worker-pickup fault site, then the
                 // actual run. Reported as data, never an exception.
                 auto attempt_once = [&]() -> RunOutcome {
+                    machine.restore(setup);
+                    runner.clearProgramCache();
                     try {
                         fault::maybeInject(fault::Site::WorkerPickup);
                     } catch (const fault::InjectedFault &f) {
@@ -927,33 +909,9 @@ Engine::runCampaign(const std::vector<core::BenchmarkSpec> &specs,
                     if (options.specBudget != 0 &&
                         resolved.cycleBudget == 0)
                         resolved.cycleBudget = options.specBudget;
-                    if (options.freshMachinePerSpec) {
-                        sim::Machine machine(ua, session_opt.seed);
-                        {
-                            std::lock_guard<std::mutex> lock(mutex_);
-                            ++constructed_;
-                        }
-                        core::Runner runner(machine,
-                                            session_opt.mode);
-                        // The machine is private per spec (layout
-                        // invariance), but decoded programs are
-                        // immutable and layout-keyed: share them
-                        // engine-wide.
-                        runner.setSharedProgramCache(programCache_);
-                        if (options.machineSetup)
-                            options.machineSetup(runner);
-                        // The machine dies with this attempt, so no
-                        // detach is needed here.
-                        if (options.observe)
-                            machine.setExecObserver(&observers[w]);
-                        if (resolved.config.empty())
-                            resolved.config = session_opt.config;
-                        RunOutcome out = runSpecOnRunner(
-                            runner, std::move(resolved));
-                        worker_phases[w] += runner.phaseTimes();
-                        return out;
-                    }
-                    return session->run(resolved);
+                    if (resolved.config.empty())
+                        resolved.config = session_opt.config;
+                    return runSpecOnRunner(runner, std::move(resolved));
                 };
 
                 // Transient failures (injected transient faults,
@@ -1001,10 +959,7 @@ Engine::runCampaign(const std::vector<core::BenchmarkSpec> &specs,
                     options.progress(event);
                 }
             }
-            if (session) {
-                worker_phases[w] =
-                    session->runner().phaseTimes() - phase_base;
-            }
+            worker_phases[w] = runner.phaseTimes();
             campaign.report.perWorkerSeconds[w] =
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - worker_start)

@@ -1,26 +1,29 @@
 /**
  * @file
- * Parallel campaign executor on the Engine pool.
+ * Parallel campaign executor.
  *
  * The paper's headline use case is uops.info-style campaigns that run
  * thousands of microbenchmarks per microarchitecture (§V). A campaign
  * takes a vector of BenchmarkSpecs and fans it out across N worker
  * threads. Guarantees:
  *
- *  - Isolation: each worker holds a private machine replica -- the
- *    pool key is (uarch, mode, seed, workerIndex) -- so the
- *    single-threaded Session invariant holds per worker. Replicas
- *    stay pooled in the Engine, so a second campaign on the same
- *    engine reuses warm machines.
+ *  - Isolation: each worker builds a private machine + runner (counted
+ *    in Engine::machinesConstructed(); decoded programs come from the
+ *    engine's shared cache), runs CampaignOptions::machineSetup on it
+ *    once, and takes a sim::Machine snapshot. Before every attempt of
+ *    every spec, retries included, the worker restores that snapshot,
+ *    so each spec runs as if on a newly built, newly set-up machine.
+ *    Restoring costs far less than building: the caches are emptied
+ *    through their flush generation, not copied.
  *
  *  - Order: the returned outcomes vector has exactly one entry per
  *    input spec, in input order, regardless of which worker ran it.
  *
- *  - Determinism: specs are assigned to workers by a static stride
- *    (worker w runs unique specs w, w+N, w+2N, ...), not by dynamic
- *    work stealing, so repeating a campaign with the same options
- *    against fresh machines (a new Engine, or after clearPool())
- *    produces identical results.
+ *  - Determinism: every outcome is a function of its spec, the session
+ *    options and the setup hook alone. Workers claim specs from a
+ *    shared index, so which worker runs which spec varies from run to
+ *    run, but -jobs N outcomes are bit-identical to -jobs 1 and to a
+ *    run of the spec alone on a new machine.
  *
  *  - Dedup: identical specs -- compared by a canonical key covering
  *    every BenchmarkSpec field -- are executed once and their result
@@ -120,35 +123,26 @@ struct CampaignOptions
     unsigned resolvedJobs() const;
     /** Execute identical specs once and share the outcome. */
     bool dedup = true;
-    /** Machine selection for the workers. The replica field is
-     *  overwritten with each worker's index. */
+    /** Machine selection (uarch, mode, seed, counters) for the
+     *  workers. */
     SessionOptions session;
-    /**
-     * Reset each worker's machine micro-state before every unique
-     * spec: instead of running on a pooled replica (whose simulated
-     * caches, predictors, and RNG carry the history of earlier specs),
-     * the worker constructs a fresh machine + runner pair per spec,
-     * applies machineSetup, runs the spec, and discards the machine.
-     *
-     * This makes every outcome a pure function of its spec: -jobs N
-     * results are bit-identical to -jobs 1 (and to any other layout),
-     * which is what the profile/table golden gates rely on. The cost
-     * is one full machine construction per unique spec (~2x a typical
-     * short campaign; more for campaigns of very cheap specs) --
-     * hence opt-in, default off.
-     */
+    /** Not read: every campaign restores each worker's post-setup
+     *  snapshot before every spec, which is what this flag used to
+     *  request. Kept so existing callers still compile. */
     bool freshMachinePerSpec = false;
     /**
-     * Machine preparation hook, run on a worker's runner before it
-     * executes any spec (and, with freshMachinePerSpec, on every
-     * fresh machine before its spec). Campaign planners use this to
-     * reproduce the machine state their specs assume -- e.g. the
-     * profile builder reserves the R14 area its planned addresses
-     * point into and disables the hardware prefetchers. Invoked
-     * concurrently from worker threads, each on its own runner, so it
-     * must not touch shared mutable state; pooled workers may have
-     * run earlier campaigns, so the hook should be idempotent (e.g.
-     * only reserve an area if the current one is too small).
+     * Machine preparation hook, run once on each worker's newly built
+     * runner before the snapshot every spec starts from. Campaign
+     * planners use this to reproduce the machine state their specs
+     * assume -- e.g. the profile builder reserves the R14 area its
+     * planned addresses point into and disables the hardware
+     * prefetchers. It may reserve memory and write MSRs but must not
+     * execute code or otherwise use the caches (the snapshot restores
+     * them to empty). Invoked concurrently from worker threads, each
+     * on its own runner, so it must not touch shared mutable state.
+     * Keep it idempotent (e.g. only reserve an area if the current one
+     * is too small): analysis::Context::forCampaign applies it to
+     * runners that may already be set up.
      */
     std::function<void(core::Runner &)> machineSetup;
     /**
@@ -211,8 +205,8 @@ struct CampaignOptions
      * journal's uarch/mode must match the campaign's (canonical keys
      * do not cover them). A truncated trailing line -- the kill -9
      * case -- is ignored. The resulting outcomes and report are
-     * bit-identical (modulo wall-time fields) to an uninterrupted
-     * run when the campaign is deterministic (freshMachinePerSpec).
+     * bit-identical (modulo wall-time and per-worker fields) to an
+     * uninterrupted run.
      */
     std::string resume;
     /** Cooperative cancellation (may be null; see CancelToken). */
@@ -246,8 +240,9 @@ struct CampaignReport
     double wallSeconds = 0.0;
     /** Specs executed by each worker (size == jobs). */
     std::vector<std::size_t> perWorkerSpecs;
-    /** Wall-clock seconds each worker spent in its run loop (size ==
-     *  jobs): the spread is the static-stride load imbalance. */
+    /** Wall-clock seconds each worker spent, building and setting up
+     *  its machine included (size == jobs): the spread is the load
+     *  imbalance. */
     std::vector<double> perWorkerSeconds;
     /** Aggregate per-phase runner time across all workers
      *  (obs::Phase): where the campaign's CPU time actually went. */

@@ -83,10 +83,6 @@ printUsage()
         "                       CSV with -csv)\n"
         "  -profile_diff <a> <b>  diff two profile files (exit 1 when\n"
         "                       sections changed)\n"
-        "  -fresh_machine       reset machine micro-state before every\n"
-        "                       unique campaign spec: -jobs N output\n"
-        "                       becomes layout-invariant (~2x cost;\n"
-        "                       profiles default to this)\n"
         "  -no_dedup            run duplicate specs instead of sharing\n"
         "                       one cached result\n"
         "  -report <file>       write the campaign report (JSON, or CSV\n"
@@ -202,7 +198,6 @@ main(int argc, char **argv)
     bool dedup = true;
     bool show_progress = false;
     bool characterize = false;
-    bool fresh_machine = false;
     bool lint = false;
     bool explain = false;
     bool observe = false;
@@ -264,8 +259,6 @@ main(int argc, char **argv)
             } else if (arg == "-profile_diff") {
                 profile_diff_a = next();
                 profile_diff_b = next();
-            } else if (arg == "-fresh_machine") {
-                fresh_machine = true;
             } else if (arg == "-no_dedup") {
                 dedup = false;
             } else if (arg == "-report") {
@@ -432,9 +425,6 @@ main(int argc, char **argv)
             profile_opt.session = session_opt;
             profile_opt.jobs = jobs;
             profile_opt.dedup = dedup;
-            // Profiles default to fresh machines (their specs assume
-            // just-booted state); -fresh_machine is a no-op here.
-            profile_opt.freshMachinePerSpec = true;
             profile_opt.trace = &tracer;
             profile_opt.observe = observe;
             if (show_progress) {
@@ -517,7 +507,6 @@ main(int argc, char **argv)
             table_opt.session = session_opt;
             table_opt.jobs = jobs;
             table_opt.dedup = dedup;
-            table_opt.freshMachinePerSpec = fresh_machine;
             table_opt.trace = &tracer;
             table_opt.observe = observe;
             if (show_progress) {
@@ -876,9 +865,8 @@ main(int argc, char **argv)
         // (worker pool, dedup cache, report) kick in as soon as any
         // campaign option is used.
         bool campaign_mode = jobs != 1 || !dedup || show_progress ||
-                             fresh_machine || !spec_file.empty() ||
-                             !report_path.empty() || max_retries != 0 ||
-                             !checkpoint_path.empty() ||
+                             !spec_file.empty() || !report_path.empty() ||
+                             max_retries != 0 || !checkpoint_path.empty() ||
                              !resume_path.empty();
         bool was_cancelled = false;
         if (campaign_mode) {
@@ -895,7 +883,6 @@ main(int argc, char **argv)
             campaign_opt.jobs = jobs;
             campaign_opt.dedup = dedup;
             campaign_opt.session = session_opt;
-            campaign_opt.freshMachinePerSpec = fresh_machine;
             campaign_opt.trace = &tracer;
             campaign_opt.maxRetries = max_retries;
             campaign_opt.checkpoint = checkpoint_path;

@@ -119,7 +119,7 @@ std::vector<x86::Instruction> generateMeasurementCode(const GenParams &p);
  * virtual instruction indices, same counter values -- but building it
  * is O(|body|) instead of O(unroll x |body|), and it can be cached
  * and reused across all warm-up and measurement runs of a round
- * (Runner::programCacheStats()).
+ * (Runner::programStats()).
  */
 sim::Program buildMeasurementProgram(const GenParams &p,
                                      const uarch::MicroArch &ua);

@@ -20,7 +20,7 @@ namespace nb
 namespace
 {
 
-/** The session-layer assembly memo behind assembleCacheStats().
+/** The session-layer assembly memo behind assembleCacheCounters().
  *  Values are shared_ptr so a hit only bumps a refcount under the
  *  mutex; the deep copy the caller needs happens outside it. */
 struct AssembleCache
@@ -29,7 +29,7 @@ struct AssembleCache
     std::unordered_map<std::string,
                        std::shared_ptr<const std::vector<x86::Instruction>>>
         map;
-    AssembleCacheStats stats;
+    CacheStats stats;
 };
 
 AssembleCache &
@@ -88,15 +88,6 @@ assembleMemoized(const std::string &source)
 
 CacheStats
 assembleCacheCounters()
-{
-    AssembleCache &cache = assembleCache();
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    return {cache.stats.hits, cache.stats.misses,
-            cache.stats.evictions};
-}
-
-AssembleCacheStats
-assembleCacheStats()
 {
     AssembleCache &cache = assembleCache();
     std::lock_guard<std::mutex> lock(cache.mutex);
@@ -313,36 +304,37 @@ Engine::session(const SessionOptions &options)
     // throw without leaving a half-built entry behind.
     const auto &ua = uarch::getMicroArch(resolved.uarch);
 
-    PoolKey key{resolved.uarch, resolved.mode, resolved.seed,
-                resolved.replica};
-    std::shared_ptr<detail::MachineLease> lease;
+    PoolKey key{resolved.uarch, resolved.mode, resolved.seed};
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = pool_.find(key);
         if (it != pool_.end()) {
-            lease = it->second;
             ++hits_;
+            return Session(it->second, std::move(resolved));
         }
     }
-    if (!lease) {
-        // Construct outside the lock: machine setup is the expensive
-        // part, and concurrent sessions for other keys should not
-        // serialize behind it.
-        auto fresh = std::make_shared<detail::MachineLease>();
-        fresh->machine =
-            std::make_unique<sim::Machine>(ua, resolved.seed);
-        fresh->runner = std::make_unique<core::Runner>(*fresh->machine,
-                                                       resolved.mode);
-        fresh->runner->setSharedProgramCache(programCache_);
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto [it, inserted] = pool_.emplace(key, std::move(fresh));
-        if (inserted)
-            ++constructed_;
-        else
-            ++hits_; // another thread won the race; share its machine
-        lease = it->second;
-    }
-    return Session(std::move(lease), std::move(resolved));
+    // Construct outside the lock: machine setup is the expensive part,
+    // and concurrent sessions for other keys should not serialize
+    // behind it. If another thread won the race to the same key, its
+    // machine is shared and ours, though counted as built, is dropped.
+    auto fresh = std::make_shared<detail::MachineLease>(
+        construct(ua, resolved));
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = pool_.emplace(key, std::move(fresh)).first;
+    return Session(it->second, std::move(resolved));
+}
+
+detail::MachineLease
+Engine::construct(const uarch::MicroArch &ua, const SessionOptions &options)
+{
+    detail::MachineLease lease;
+    lease.machine = std::make_unique<sim::Machine>(ua, options.seed);
+    lease.runner =
+        std::make_unique<core::Runner>(*lease.machine, options.mode);
+    lease.runner->setSharedProgramCache(programCache_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++constructed_;
+    return lease;
 }
 
 std::size_t

@@ -2,15 +2,16 @@
  * @file
  * Reusable benchmark-execution API.
  *
- * The one-shot NanoBench facade (nanobench.hh) mirrors the paper's
- * shell scripts: one process, one machine, one benchmark, abort on
- * error. This layer makes the same machinery reusable and batchable:
+ * The paper's shell scripts run one benchmark on one machine per
+ * process and abort on error. This layer makes the same machinery
+ * reusable and batchable:
  *
  *  - An Engine owns a pool of simulated machine + runner pairs, keyed
  *    by (uarch, mode, seed). Requesting a session for a key that was
  *    already built reuses the warmed-up machine instead of paying the
- *    full construction cost again (uops.info-style campaigns run
- *    thousands of benchmarks per microarchitecture).
+ *    full construction cost again. Campaigns (campaign.hh) do not use
+ *    the pool: each worker builds its own machine and restores it to
+ *    its post-setup snapshot before every spec.
  *
  *  - A Session is a lightweight handle on one pooled machine. It runs
  *    a single BenchmarkSpec (run()) or a whole batch (runBatch()),
@@ -116,24 +117,10 @@ class RunOutcome;
  * Counters of the session-layer assembly memo: runSpecOnRunner()
  * parses each distinct asm text once per process and serves repeats
  * from a cache (campaign warm-ups, repeated specs, and profile
- * re-runs stop re-parsing). Monotonic and process-wide; thread-safe.
- * Pre-telemetry shape, kept for the deprecated accessor; new code
- * reads assembleCacheCounters() (or Engine::telemetry()).
+ * re-runs stop re-parsing). Misses are successful parses. Monotonic
+ * and process-wide; thread-safe.
  */
-struct AssembleCacheStats
-{
-    std::uint64_t hits = 0;   ///< texts served from the memo
-    std::uint64_t misses = 0; ///< texts parsed (successfully)
-    std::uint64_t evictions = 0; ///< entries dropped by clear-when-full
-};
-
-/** Current counters of the assembly memo, in the unified telemetry
- *  shape (misses are successful parses). Thread-safe. */
 CacheStats assembleCacheCounters();
-
-/** @deprecated Pre-telemetry shape of assembleCacheCounters(). */
-[[deprecated("use assembleCacheCounters()")]] AssembleCacheStats
-assembleCacheStats();
 
 /**
  * Run one spec on a bare Runner with Session::run() semantics:
@@ -185,15 +172,6 @@ struct SessionOptions
     std::string uarch = "Skylake";
     core::Mode mode = core::Mode::Kernel;
     std::uint64_t seed = 42;
-    /**
-     * Machine-replica index, part of the pool key. Sessions are
-     * single-threaded (see the file comment), so concurrent workers
-     * that want identical machines -- same uarch, mode, and seed --
-     * must each use a distinct replica to get a private copy. The
-     * campaign executor keys its workers by worker index; plain
-     * callers leave this at 0.
-     */
-    std::uint32_t replica = 0;
     /** Path of a counter-config file, parsed once when the session is
      *  created; empty = none. */
     std::string configFile;
@@ -252,8 +230,7 @@ struct CampaignResult;
 
 /**
  * The machine pool. session() hands out Sessions backed by cached
- * machines; identical (uarch, mode, seed, replica) keys share one
- * machine.
+ * machines; identical (uarch, mode, seed) keys share one machine.
  */
 class Engine
 {
@@ -268,11 +245,12 @@ class Engine
     Session session(const SessionOptions &options = {});
 
     /**
-     * Run a campaign: fan @p specs out across a pool of worker
-     * threads, each holding a private machine replica (see
-     * campaign.hh for the options, report, and guarantees). Outcomes
-     * come back in spec order. @throws nb::FatalError for an unknown
-     * uarch or an unreadable configFile (before any work starts).
+     * Run a campaign: fan @p specs out across worker threads, each
+     * building a private machine and restoring it to its post-setup
+     * snapshot before every spec (see campaign.hh for the options,
+     * report, and guarantees). Outcomes come back in spec order.
+     * @throws nb::FatalError for an unknown uarch or an unreadable
+     * configFile (before any work starts).
      */
     CampaignResult runCampaign(
         const std::vector<core::BenchmarkSpec> &specs,
@@ -283,8 +261,8 @@ class Engine
 
     /**
      * Total machines constructed over this engine's LIFETIME: pooled
-     * ones and the per-spec machines of freshMachinePerSpec campaigns
-     * alike. This is a monotonic counter, deliberately not tied to the pool's
+     * ones and campaign workers' (one per worker per campaign) alike.
+     * This is a monotonic counter, deliberately not tied to the pool's
      * current contents: clearPool() drops the machines but keeps the
      * counters, so construction cost across clears stays visible.
      * Call resetStats() for a fresh measurement window.
@@ -320,16 +298,20 @@ class Engine
 
     /**
      * The engine-wide measurement-program cache. Every Runner this
-     * engine creates -- pooled session runners and the per-spec
-     * runners of freshMachinePerSpec campaigns -- shares it, so each
-     * unique (uarch, mode, layout, spec, round, unroll-version)
-     * program is decoded once per engine, not once per runner.
+     * engine creates -- pooled session runners and campaign workers'
+     * runners -- shares it, so each unique (uarch, mode, layout, spec,
+     * round, unroll-version) program is decoded once per engine, not
+     * once per runner.
      */
     core::SharedProgramCache &programCache() { return *programCache_; }
 
   private:
-    using PoolKey = std::tuple<std::string, core::Mode, std::uint64_t,
-                               std::uint32_t>;
+    using PoolKey = std::tuple<std::string, core::Mode, std::uint64_t>;
+
+    /** Build a machine + runner pair on the shared program cache and
+     *  count it in machinesConstructed(). */
+    detail::MachineLease construct(const uarch::MicroArch &ua,
+                                   const SessionOptions &options);
 
     mutable std::mutex mutex_;
     std::map<PoolKey, std::shared_ptr<detail::MachineLease>> pool_;

@@ -3,13 +3,13 @@
  * Shared, thread-safe measurement-program cache.
  *
  * A campaign fans one spec list out over N workers, each with a
- * private Runner. Before this cache, every Runner decoded its own
- * measurement programs: N workers (or, with freshMachinePerSpec, every
- * single spec) paid the decode cost for specs the process had already
- * decoded. The Engine owns one SharedProgramCache and attaches it to
- * every Runner it creates; a unique (uarch, mode, layout, spec, round,
- * unroll-version) program is then decoded once per process and shared
- * by reference.
+ * private Runner built for that campaign. Without this cache, every
+ * Runner would decode its own measurement programs: N workers, and
+ * every later campaign's workers, would pay the decode cost for specs
+ * the process had already decoded. The Engine owns one
+ * SharedProgramCache and attaches it to every Runner it creates; a
+ * unique (uarch, mode, layout, spec, round, unroll-version) program is
+ * then decoded once per engine and shared by reference.
  *
  * Programs are immutable after decode (execute() takes const
  * Program&), so sharing one instance across threads is safe; the

@@ -317,7 +317,7 @@ Runner::measurementProgram(const std::string &spec_key,
             .add(programCache_.size());
         programCache_.clear();
     }
-    ++progStats_.builds;
+    ++progStats_.misses;
 
     // Generation and decode are timed separately (obs::Phase): a
     // campaign whose Codegen/Decode share does not shrink over time

@@ -161,22 +161,6 @@ std::string specCanonicalKey(const BenchmarkSpec &spec);
 /** FNV-1a hash of specCanonicalKey() (stable across runs). */
 std::uint64_t specHash(const BenchmarkSpec &spec);
 
-/**
- * Hit/build counters of a Runner's measurement-program cache, the
- * pre-telemetry shape kept for the deprecated programCacheStats()
- * accessor. New code reads Runner::programStats(), which reports the
- * same numbers as an nb::CacheStats (builds are the misses).
- */
-struct ProgramCacheStats
-{
-    /** Measurement programs fetched or decoded (local-cache misses). */
-    std::uint64_t builds = 0;
-    /** Measurement programs served from the local cache. */
-    std::uint64_t hits = 0;
-    /** Entries dropped by the clear-when-full policy. */
-    std::uint64_t evictions = 0;
-};
-
 /** The benchmark runner; owns the memory-area setup for one machine. */
 class Runner
 {
@@ -220,8 +204,8 @@ class Runner
      * resetPhaseTimes(). Codegen/Decode only accrue on measurement-
      * program cache misses; Assemble accrues here when run() parses
      * asm text itself and via addPhaseTime() when the session layer
-     * (runSpecOnRunner) pre-assembles. The campaign executor windows
-     * this accumulator per spec to aggregate per-worker phase totals.
+     * (runSpecOnRunner) pre-assembles. Each campaign worker's runner
+     * is new, so its accumulator is that worker's phase totals.
      */
     const obs::PhaseTimes &phaseTimes() const { return phaseTimes_; }
     void resetPhaseTimes() { phaseTimes_ = {}; }
@@ -241,26 +225,18 @@ class Runner
      * state; misses growing with nMeasurements would mean the codegen
      * hoisting regressed.
      */
-    CacheStats programStats() const
-    {
-        return {progStats_.hits, progStats_.builds,
-                progStats_.evictions};
-    }
+    CacheStats programStats() const { return progStats_; }
     /** Zero the cache counters (the cache itself is kept). */
     void resetProgramStats() { progStats_ = {}; }
 
-    /** @deprecated Pre-telemetry shape of programStats(). */
-    [[deprecated("use programStats()")]] ProgramCacheStats
-    programCacheStats() const
-    {
-        return progStats_;
-    }
-    /** @deprecated Renamed; use resetProgramStats(). */
-    [[deprecated("use resetProgramStats()")]] void
-    resetProgramCacheStats()
-    {
-        progStats_ = {};
-    }
+    /**
+     * Empty the local program cache (the counters are kept). Campaign
+     * workers do this with every machine restore: each spec then
+     * fetches its programs from the shared cache, as a newly built
+     * runner would, and a worker's memory does not grow with the
+     * specs it has run (cache keys carry the spec's asm text).
+     */
+    void clearProgramCache() { programCache_.clear(); }
 
     /**
      * Attach the engine-wide shared program cache
@@ -320,7 +296,7 @@ class Runner
      *  cache; privately decoded programs use the same ownership. */
     std::unordered_map<std::string, std::shared_ptr<const sim::Program>>
         programCache_;
-    ProgramCacheStats progStats_;
+    CacheStats progStats_;
     /** Engine-wide cache, if attached (setSharedProgramCache). */
     std::shared_ptr<SharedProgramCache> sharedCache_;
     /** Predecoded user-mode counter-programming overhead (a repeat-

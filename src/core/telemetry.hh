@@ -2,15 +2,13 @@
  * @file
  * Unified cache telemetry for the engine layer.
  *
- * The library grew three cache counter structs with three shapes and
- * three accessors: the Runner's measurement-program cache
- * (ProgramCacheStats, builds/hits), the session-layer assembly memo
- * (AssembleCacheStats, hits/misses) and the lint memo (LintCacheStats,
- * hits/misses). This header unifies them: every cache reports an
- * nb::CacheStats, and Engine::telemetry() snapshots them all -- plus
- * the machine pool counters -- into one EngineTelemetry that
+ * Every engine-layer cache -- the Runner's measurement-program cache
+ * (Runner::programStats()), the session-layer assembly memo
+ * (assembleCacheCounters()) and the lint memo (lintCacheCounters()) --
+ * reports an nb::CacheStats, and Engine::telemetry() snapshots them
+ * all, plus the machine pool counters, into one EngineTelemetry that
  * serializes to JSON (round-trippable) and CSV in the BenchmarkResult
- * dialect. The old per-cache accessors remain as deprecated shims.
+ * dialect.
  */
 
 #ifndef NB_CORE_TELEMETRY_HH

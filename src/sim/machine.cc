@@ -365,10 +365,41 @@ Machine::executeReference(const Program &prog)
     return ctx.stats;
 }
 
-ExecStats
-Machine::execute(const std::vector<x86::Instruction> &code)
+Machine::Snapshot::Snapshot(const Machine &m)
+    : rng(m.rng_), arch(m.arch_), phys(m.memory_.phys().snapshot()),
+      pmu(m.pmu_), caches(m.caches_.snapshot()), tlb(m.tlb_),
+      sched(m.sched_), privilege(m.privilege_),
+      interruptsEnabled(m.interruptsEnabled_), rdpmcUser(m.rdpmcUser_),
+      maxInstr(m.maxInstr_), cycleBudget(m.cycleBudget_),
+      cycleDeadline(m.cycleDeadline_), nextInterrupt(m.nextInterrupt_),
+      branchTable(m.branchTable_)
 {
-    return execute(Program::decode(uarch_, code));
+}
+
+Machine::Snapshot
+Machine::snapshot() const
+{
+    return Snapshot(*this);
+}
+
+void
+Machine::restore(const Snapshot &s)
+{
+    rng_ = s.rng;
+    arch_ = s.arch;
+    memory_.phys().restore(s.phys);
+    pmu_ = s.pmu;
+    caches_.restore(s.caches);
+    tlb_ = s.tlb;
+    sched_ = s.sched;
+    privilege_ = s.privilege;
+    interruptsEnabled_ = s.interruptsEnabled;
+    rdpmcUser_ = s.rdpmcUser;
+    maxInstr_ = s.maxInstr;
+    cycleBudget_ = s.cycleBudget;
+    cycleDeadline_ = s.cycleDeadline;
+    nextInterrupt_ = s.nextInterrupt;
+    branchTable_ = s.branchTable;
 }
 
 std::uint64_t

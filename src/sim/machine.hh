@@ -158,15 +158,6 @@ class Machine
      */
     ExecStats executeReference(const Program &prog);
 
-    /**
-     * Execute a code sequence until control falls off the end.
-     * Deprecated compatibility shim: decodes into a Program (paying
-     * the decode cost on every call) and executes it. Decode a
-     * sim::Program once and use the overload above.
-     */
-    [[deprecated("decode a sim::Program once and execute(prog)")]]
-    ExecStats execute(const std::vector<x86::Instruction> &code);
-
     /** Instruction budget per execute() call (runaway-loop guard). */
     void setMaxInstructions(std::uint64_t budget) { maxInstr_ = budget; }
 
@@ -209,6 +200,26 @@ class Machine
         execObserver_ = observer;
     }
     ExecObserver *execObserver() const { return execObserver_; }
+
+    class Snapshot;
+
+    /**
+     * Record the machine's state so restore() can return to it.
+     * Campaign workers take one right after setting a machine up and
+     * restore it before every spec, so each spec runs as if on a newly
+     * built machine. The caches must not have been used yet (see
+     * cache::Hierarchy::snapshot).
+     */
+    Snapshot snapshot() const;
+
+    /**
+     * Return to @p s. The caches are emptied through their flush
+     * generation rather than copied, the page table stays as it is (a
+     * run never remaps), and the physical pages written since @p s
+     * are dropped; everything else is copied back. The attached
+     * ExecObserver stays attached.
+     */
+    void restore(const Snapshot &s);
 
   private:
     // ------------------------------------------------ timing machinery
@@ -362,6 +373,30 @@ class Machine
     /** Branch predictor: 2-bit saturating counters per virtual code
      *  index. */
     std::unordered_map<std::uint64_t, std::uint8_t> branchTable_;
+};
+
+/** What Machine::restore() puts back (see Machine::snapshot()). */
+class Machine::Snapshot
+{
+  private:
+    friend class Machine;
+    explicit Snapshot(const Machine &m);
+
+    Rng rng;
+    ArchState arch;
+    PhysMemory::Snapshot phys;
+    Pmu pmu;
+    cache::Hierarchy::Snapshot caches;
+    Tlb tlb;
+    Scheduler sched;
+    Privilege privilege;
+    bool interruptsEnabled;
+    bool rdpmcUser;
+    std::uint64_t maxInstr;
+    std::uint64_t cycleBudget;
+    Cycles cycleDeadline;
+    Cycles nextInterrupt;
+    std::unordered_map<std::uint64_t, std::uint8_t> branchTable;
 };
 
 } // namespace nb::sim

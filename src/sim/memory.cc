@@ -53,6 +53,31 @@ PhysMemory::write(Addr paddr, std::uint64_t value, unsigned bytes)
     }
 }
 
+PhysMemory::Snapshot
+PhysMemory::snapshot() const
+{
+    Snapshot s;
+    for (const auto &[page, data] : pages_)
+        s.pages.emplace(page, *data);
+    return s;
+}
+
+void
+PhysMemory::restore(const Snapshot &s)
+{
+    // Pages are never removed except here, so every page of the
+    // snapshot is still present.
+    for (auto it = pages_.begin(); it != pages_.end();) {
+        auto saved = s.pages.find(it->first);
+        if (saved == s.pages.end()) {
+            it = pages_.erase(it);
+        } else {
+            *it->second = saved->second;
+            ++it;
+        }
+    }
+}
+
 void
 PageTable::mapPage(Addr vaddr, Addr paddr)
 {

@@ -25,12 +25,27 @@ namespace nb::sim
 /** Byte-addressable sparse physical memory. */
 class PhysMemory
 {
+    using Page = std::array<std::uint8_t, kPageSize>;
+
   public:
     std::uint64_t read(Addr paddr, unsigned bytes) const;
     void write(Addr paddr, std::uint64_t value, unsigned bytes);
 
+    /** The pages that exist at one point, with their contents. */
+    struct Snapshot
+    {
+        std::unordered_map<Addr, Page> pages;
+    };
+
+    Snapshot snapshot() const;
+
+    /** Drop every page first written after @p s was taken and put
+     *  back the contents of the pages @p s holds. Costs one step per
+     *  existing page; pages read as zero until written, so a dropped
+     *  page reads exactly as it did at the snapshot. */
+    void restore(const Snapshot &s);
+
   private:
-    using Page = std::array<std::uint8_t, kPageSize>;
     Page &pageFor(Addr paddr);
     const Page *pageForRead(Addr paddr) const;
 
@@ -67,6 +82,7 @@ class Memory
     PageTable &pageTable() { return pt_; }
     const PageTable &pageTable() const { return pt_; }
     PhysMemory &phys() { return phys_; }
+    const PhysMemory &phys() const { return phys_; }
 
     Addr translate(Addr vaddr) const { return pt_.translate(vaddr); }
 

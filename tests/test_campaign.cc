@@ -8,8 +8,11 @@
 
 #include <atomic>
 #include <gtest/gtest.h>
+#include <optional>
 
+#include "cachetools/dueling_scan.hh"
 #include "core/campaign.hh"
+#include "fault/fault.hh"
 
 namespace nb
 {
@@ -67,37 +70,33 @@ TEST_P(CampaignWorkers, ResultsComeBackInSpecOrder)
     EXPECT_EQ(report.errorCount(), 0u);
     EXPECT_GT(report.wallSeconds, 0.0);
 
-    // Every worker ran its static share of the work.
+    // Workers claim specs as they go, so the split varies, but every
+    // unique spec ran exactly once.
     ASSERT_EQ(report.perWorkerSpecs.size(), report.jobs);
     std::size_t executed = 0;
-    for (unsigned w = 0; w < report.jobs; ++w) {
-        // Strided assignment: worker w gets ceil((12 - w) / jobs).
-        EXPECT_EQ(report.perWorkerSpecs[w],
-                  (12 - w + report.jobs - 1) / report.jobs)
-            << w;
-        executed += report.perWorkerSpecs[w];
-    }
+    for (std::size_t count : report.perWorkerSpecs)
+        executed += count;
     EXPECT_EQ(executed, 12u);
 }
 
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, CampaignWorkers,
                          ::testing::Values(1u, 2u, 8u));
 
-TEST(Campaign, WorkersGetPrivateMachineReplicas)
+TEST(Campaign, WorkersBuildOneMachineEach)
 {
     Engine engine;
     CampaignOptions opt;
     opt.jobs = 4;
     auto campaign = engine.runCampaign(countingSpecs(8), opt);
     EXPECT_EQ(campaign.report.jobs, 4u);
-    // One machine per worker, keyed (uarch, mode, seed, replica).
+    // One private machine per worker, outside the session pool.
     EXPECT_EQ(engine.machinesConstructed(), 4u);
-    EXPECT_EQ(engine.poolSize(), 4u);
+    EXPECT_EQ(engine.poolSize(), 0u);
 
-    // A second campaign on the same engine reuses the warm replicas.
+    // Every campaign builds its own workers' machines.
     engine.runCampaign(countingSpecs(8), opt);
-    EXPECT_EQ(engine.machinesConstructed(), 4u);
-    EXPECT_EQ(engine.poolHits(), 4u);
+    EXPECT_EQ(engine.machinesConstructed(), 8u);
+    EXPECT_EQ(engine.poolHits(), 0u);
 }
 
 TEST(Campaign, ZeroJobsMeansHardwareConcurrency)
@@ -319,9 +318,8 @@ TEST(Campaign, RepeatedRunsWithSameSeedAreIdentical)
 
     Engine engine;
     auto first = engine.runCampaign(specs, opt);
-    // Fresh machines via clearPool(): same seed, same static
-    // assignment, so the outcomes must be bit-identical.
-    engine.clearPool();
+    // Every spec starts from the same post-setup snapshot, so the
+    // outcomes must be bit-identical whichever worker ran them.
     auto second = engine.runCampaign(specs, opt);
 
     ASSERT_EQ(first.outcomes.size(), second.outcomes.size());
@@ -335,8 +333,6 @@ TEST(Campaign, RepeatedRunsWithSameSeedAreIdentical)
             EXPECT_EQ(a.lines[l].value, b.lines[l].value) << i;
         }
     }
-    EXPECT_EQ(first.report.perWorkerSpecs,
-              second.report.perWorkerSpecs);
 }
 
 // ---------------------------------------------------------- progress --
@@ -587,7 +583,7 @@ TEST(SpecFile, UnreadableConfigIsAPerLineError)
               std::string::npos);
 }
 
-// ------------------------------------------- fresh machines / setup --
+// ------------------------------------------ setup and snapshots --
 
 TEST(Campaign, MachineSetupRunsOncePerWorker)
 {
@@ -603,50 +599,49 @@ TEST(Campaign, MachineSetupRunsOncePerWorker)
     EXPECT_EQ(calls.load(), 3u);
 }
 
-TEST(Campaign, FreshMachineRunsSetupPerUniqueSpec)
+TEST(Campaign, DedupedSpecRunsNoExtraSetup)
 {
+    // Setup runs once per worker, never per spec: a duplicate adds
+    // neither a setup call nor a machine.
     Engine engine;
     CampaignOptions opt;
     opt.jobs = 2;
-    opt.freshMachinePerSpec = true;
     std::atomic<unsigned> calls{0};
     opt.machineSetup = [&](core::Runner &) { ++calls; };
     auto specs = countingSpecs(3);
-    specs.push_back(specs.front()); // duplicate: deduped, no machine
+    specs.push_back(specs.front()); // duplicate: deduped
     auto campaign = engine.runCampaign(specs, opt);
-    EXPECT_EQ(calls.load(), 3u);
+    EXPECT_EQ(calls.load(), 2u);
     EXPECT_EQ(campaign.report.cacheHits, 1u);
+    EXPECT_EQ(engine.machinesConstructed(), 2u);
     // No pooled machines were used at all.
     EXPECT_EQ(engine.poolSize(), 0u);
 }
 
-TEST(Campaign, FreshMachineCampaignCountsEveryConstructedMachine)
+TEST(Campaign, CountsOneConstructedMachinePerWorker)
 {
-    // One private machine per unique spec; duplicates are deduped and
-    // build none. The engine's lifetime counter and its telemetry both
-    // see them.
+    // One private machine per worker, however many specs it runs. The
+    // engine's lifetime counter and its telemetry both see them.
     Engine engine;
     engine.session({}); // one pooled machine beforehand
     CampaignOptions opt;
     opt.jobs = 3;
-    opt.freshMachinePerSpec = true;
     constexpr unsigned kUnique = 7;
     auto specs = countingSpecs(kUnique);
     specs.push_back(specs[2]);
     specs.push_back(specs[5]);
     auto campaign = engine.runCampaign(specs, opt);
     EXPECT_EQ(campaign.report.okCount, specs.size());
-    EXPECT_EQ(engine.machinesConstructed(), 1u + kUnique);
-    EXPECT_EQ(engine.telemetry().machinesConstructed, 1u + kUnique);
+    EXPECT_EQ(engine.machinesConstructed(), 1u + opt.jobs);
+    EXPECT_EQ(engine.telemetry().machinesConstructed, 1u + opt.jobs);
     EXPECT_EQ(engine.poolSize(), 1u);
 }
 
-TEST(Campaign, FreshMachineSpecsSeeTheSetUpMachine)
+TEST(Campaign, SpecsSeeTheSetUpMachine)
 {
     // Specs planned against a prepared machine (here: an enlarged R14
     // area) only run if the setup hook reproduces that state on the
-    // campaign's fresh machines -- exactly the profile builder's
-    // contract.
+    // campaign's workers -- exactly the profile builder's contract.
     constexpr Addr kArea = 4 * 1024 * 1024;
     Addr probe_addr = 0;
     {
@@ -661,7 +656,6 @@ TEST(Campaign, FreshMachineSpecsSeeTheSetUpMachine)
 
     Engine engine;
     CampaignOptions opt;
-    opt.freshMachinePerSpec = true;
     auto without = engine.runCampaign({spec}, opt);
     EXPECT_FALSE(without.outcomes[0].ok()); // page fault
 
@@ -674,12 +668,12 @@ TEST(Campaign, FreshMachineSpecsSeeTheSetUpMachine)
     EXPECT_TRUE(with.outcomes[0].ok());
 }
 
-TEST(Campaign, FreshMachineMakesJobsLayoutInvariant)
+TEST(Campaign, PointerChaseIsLayoutInvariant)
 {
     // The pointer-chase timing of a spec depends on machine history
-    // (caches, predictors); with freshMachinePerSpec every outcome is
-    // a pure function of its spec, so any worker count produces
-    // bit-identical results.
+    // (caches, predictors); restoring the snapshot before every spec
+    // makes every outcome a pure function of its spec, so any worker
+    // count produces bit-identical results.
     std::vector<BenchmarkSpec> specs;
     for (unsigned i = 0; i < 6; ++i) {
         BenchmarkSpec spec;
@@ -692,7 +686,6 @@ TEST(Campaign, FreshMachineMakesJobsLayoutInvariant)
         Engine engine;
         CampaignOptions opt;
         opt.jobs = jobs;
-        opt.freshMachinePerSpec = true;
         return engine.runCampaign(specs, opt);
     };
     auto one = run(1);
@@ -705,6 +698,131 @@ TEST(Campaign, FreshMachineMakesJobsLayoutInvariant)
                   three.outcomes[i].result().toCsv())
             << i;
     }
+}
+
+/** @p spec run alone on a newly built machine + runner prepared by
+ *  @p setup: what every campaign outcome must equal. */
+RunOutcome
+runAlone(const SessionOptions &session,
+         const std::function<void(core::Runner &)> &setup,
+         const BenchmarkSpec &spec)
+{
+    sim::Machine machine(uarch::getMicroArch(session.uarch),
+                         session.seed);
+    core::Runner runner(machine, session.mode);
+    if (setup)
+        setup(runner);
+    return runSpecOnRunner(runner, spec);
+}
+
+/** Run @p specs as campaigns of 1, 2 and 4 workers (under
+ *  @p fault_plan, if given, which must cost exactly one retry) and
+ *  expect every outcome to equal the spec run alone. */
+void
+expectLayoutInvariant(const std::vector<BenchmarkSpec> &specs,
+                      CampaignOptions opt,
+                      const std::string &fault_plan = "")
+{
+    std::vector<std::string> alone;
+    for (const BenchmarkSpec &spec : specs) {
+        RunOutcome outcome = runAlone(opt.session, opt.machineSetup, spec);
+        ASSERT_TRUE(outcome.ok()) << outcome.error().message;
+        alone.push_back(outcome.result().toCsv());
+    }
+    for (unsigned jobs : {1u, 2u, 4u}) {
+        opt.jobs = jobs;
+        Engine engine;
+        std::optional<fault::ScopedFaultPlan> faults;
+        if (!fault_plan.empty())
+            faults.emplace(fault_plan);
+        CampaignResult campaign = engine.runCampaign(specs, opt);
+        if (faults) {
+            EXPECT_EQ(campaign.report.retries, 1u) << "jobs " << jobs;
+        }
+        ASSERT_EQ(campaign.outcomes.size(), specs.size());
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            const RunOutcome &outcome = campaign.outcomes[i];
+            ASSERT_TRUE(outcome.ok()) << outcome.error().message;
+            EXPECT_EQ(outcome.result().toCsv(), alone[i])
+                << "jobs " << jobs << ", spec " << i;
+        }
+    }
+}
+
+TEST(Campaign, DefaultCampaignIsLayoutInvariant)
+{
+    // Specs whose outcomes depend on machine history: a pointer chase
+    // that also stores (caches, TLB, physical pages), CPUID (RNG), a
+    // WBINVD, and a loop (taken branches, the branch table). The loop
+    // runs more than 1024 instructions per execution, so it is the one
+    // spec the execute-site fault can hit, mid-run; its retry must
+    // start from the snapshot too.
+    std::vector<BenchmarkSpec> specs(5);
+    specs[0].asmInit = "mov [R14], R14";
+    specs[0].asmCode = "mov R14, [R14]; mov [R14+4160], RBX";
+    specs[0].unrollCount = 20;
+    specs[1].asmCode = "cpuid";
+    specs[1].unrollCount = 10;
+    specs[1].nMeasurements = 3;
+    specs[2].asmCode = "wbinvd";
+    specs[2].unrollCount = 2;
+    specs[2].nMeasurements = 2;
+    specs[3].asmCode = "add RAX, 1; mov RBX, [R14+128]";
+    specs[3].unrollCount = 4;
+    specs[3].loopCount = 300;
+    specs[4] = specs[0];
+    specs[4].unrollCount = 30;
+
+    CampaignOptions opt;
+    opt.maxRetries = 1;
+    opt.machineSetup = [](core::Runner &runner) {
+        ASSERT_TRUE(runner.reserveR14Area(4 * 1024 * 1024));
+        runner.machine().writeMsr(sim::msr::kPrefetchControl,
+                                  cache::pf::kDisableAll);
+    };
+    expectLayoutInvariant(specs, opt, "execute@500:transient:x1");
+
+    // User mode: timer interrupts draw from the RNG, and the memory
+    // areas sit on scattered physical pages.
+    CampaignOptions user;
+    user.session.mode = Mode::User;
+    expectLayoutInvariant({specs[0], specs[3], specs[4]}, user);
+
+    // Ivy Bridge's adaptive L3: a planned set-dueling probe trains the
+    // PSEL counter, which flushes leave alone, so every spec must
+    // start from the PSEL value the setup left.
+    SessionOptions ivb;
+    ivb.uarch = "IvyBridge";
+    Engine planner;
+    Session session = planner.session(ivb);
+    cachetools::DuelingScanner scanner(session, "QLRU_H11_M1_R1_U2",
+                                       "QLRU_H11_MR161_R1_U2");
+    cachetools::DuelingPlanOptions plan_opt;
+    plan_opt.setLo = 512;
+    plan_opt.setHi = 512;
+    ASSERT_TRUE(
+        session.runner().reserveR14Area(scanner.planAreaSize(plan_opt)));
+    cachetools::DuelingPlan plan = scanner.plan(plan_opt);
+    ASSERT_GE(plan.specs.size(), 2u);
+
+    CampaignOptions dueling;
+    dueling.session = ivb;
+    Addr r14_size = plan.r14Size;
+    dueling.machineSetup = [r14_size](core::Runner &runner) {
+        ASSERT_TRUE(runner.reserveR14Area(r14_size));
+    };
+    std::vector<BenchmarkSpec> probes = {plan.specs.front(),
+                                         plan.specs.back()};
+
+    // The probe really moves PSEL away from its reset value.
+    sim::Machine machine(uarch::getMicroArch("IvyBridge"), ivb.seed);
+    core::Runner runner(machine, ivb.mode);
+    dueling.machineSetup(runner);
+    unsigned reset_psel = machine.caches().duelState().psel();
+    ASSERT_TRUE(runSpecOnRunner(runner, probes[0]).ok());
+    EXPECT_NE(machine.caches().duelState().psel(), reset_psel);
+
+    expectLayoutInvariant(probes, dueling);
 }
 
 TEST(EngineStats, LifetimeCountersSurviveClearPool)
@@ -727,7 +845,7 @@ TEST(EngineStats, LifetimeCountersSurviveClearPool)
 
 // ----------------------------------------- shared program cache --
 
-TEST(SharedProgramCache, FreshMachineCampaignDecodesOncePerUniqueSpec)
+TEST(SharedProgramCache, CampaignDecodesOncePerUniqueSpec)
 {
     Engine engine;
     std::vector<BenchmarkSpec> specs;
@@ -740,21 +858,20 @@ TEST(SharedProgramCache, FreshMachineCampaignDecodesOncePerUniqueSpec)
     }
     CampaignOptions opt;
     opt.jobs = 4;
-    opt.freshMachinePerSpec = true;
     auto first = engine.runCampaign(specs, opt);
     EXPECT_EQ(first.report.okCount, specs.size());
 
     // 1 counter round x 2 unroll versions per unique spec: 16 decodes
-    // total, even though every spec ran on a private fresh runner
-    // (whose local cache started empty) and executed each program
-    // several times (warm-up + measurements).
+    // total, spread over four workers' newly built runners (whose
+    // local caches started empty), each program executed several
+    // times (warm-up + measurements).
     auto stats = engine.programCache().stats();
     EXPECT_EQ(stats.misses, 16u);
     EXPECT_EQ(stats.hits, 0u);
     EXPECT_EQ(engine.programCache().size(), 16u);
 
-    // An identical second campaign decodes nothing: all 16 fetches
-    // are shared-cache hits.
+    // An identical second campaign, on newly built workers again,
+    // decodes nothing: all 16 fetches are shared-cache hits.
     auto second = engine.runCampaign(specs, opt);
     EXPECT_EQ(second.report.okCount, specs.size());
     stats = engine.programCache().stats();
@@ -766,7 +883,7 @@ TEST(SharedProgramCache, FreshMachineCampaignDecodesOncePerUniqueSpec)
     EXPECT_EQ(second.report.telemetry.programCacheSize, 16u);
 }
 
-TEST(SharedProgramCache, PooledReplicasShareDecodedPrograms)
+TEST(SharedProgramCache, SessionsShareDecodedPrograms)
 {
     Engine engine;
     BenchmarkSpec spec;
@@ -781,9 +898,9 @@ TEST(SharedProgramCache, PooledReplicasShareDecodedPrograms)
     EXPECT_EQ(stats.misses, 2u); // 2 unroll versions, decoded once
     EXPECT_EQ(stats.hits, 0u);
 
-    // A second replica (private machine, identical layout) fetches
-    // instead of decoding.
-    opt.replica = 1;
+    // A second machine (another seed: same layout, private state)
+    // fetches instead of decoding.
+    opt.seed = 43;
     Session s1 = engine.session(opt);
     ASSERT_TRUE(s1.run(spec).ok());
     stats = engine.programCache().stats();
@@ -809,9 +926,9 @@ TEST(SharedProgramCache, ResetStatsKeepsCachedPrograms)
     EXPECT_EQ(engine.programCache().stats().hits, 0u);
     EXPECT_EQ(engine.programCache().size(), 2u);
 
-    // Programs survived: a fresh replica serves pure hits.
+    // Programs survived: a new machine serves pure hits.
     SessionOptions opt;
-    opt.replica = 7;
+    opt.seed = 7;
     ASSERT_TRUE(engine.session(opt).run(spec).ok());
     EXPECT_EQ(engine.programCache().stats().misses, 0u);
     EXPECT_EQ(engine.programCache().stats().hits, 2u);
@@ -840,11 +957,10 @@ TEST(SharedProgramCache, SessionOutlivesEngine)
 
 TEST(SharedProgramCache, ConcurrentWorkersConvergeOnOneProgram)
 {
-    // 8 workers race 24 fresh-machine specs over 3 distinct bodies
-    // (dedup off, so duplicates really execute). Concurrent lookups
-    // and racing inserts on the same keys are exactly what the TSan
-    // CI job needs to observe; the accounting invariant holds
-    // regardless of interleaving: one lookup per local miss.
+    // 8 workers race 24 specs over 3 distinct bodies (dedup off, so
+    // duplicates really execute). Concurrent lookups and racing
+    // inserts on the same keys are exactly what the TSan CI job needs
+    // to observe.
     Engine engine;
     std::vector<BenchmarkSpec> specs;
     for (int i = 0; i < 24; ++i) {
@@ -857,12 +973,13 @@ TEST(SharedProgramCache, ConcurrentWorkersConvergeOnOneProgram)
     CampaignOptions opt;
     opt.jobs = 8;
     opt.dedup = false;
-    opt.freshMachinePerSpec = true;
     auto result = engine.runCampaign(specs, opt);
     EXPECT_EQ(result.report.okCount, 24u);
 
     // 3 bodies x 2 unroll versions = 6 distinct programs, whoever
-    // won each decode race; 24 specs x 2 fetches = 48 lookups.
+    // won each decode race. Workers empty their local caches with
+    // every restore, so each spec fetches both programs from the
+    // shared cache: 24 specs x 2 fetches = 48 lookups.
     auto stats = engine.programCache().stats();
     EXPECT_EQ(engine.programCache().size(), 6u);
     EXPECT_EQ(stats.hits + stats.misses, 48u);

@@ -249,20 +249,18 @@ TEST(DispatchParity, RepeatEncodedMatchesMaterialized)
     }
 }
 
-TEST(DispatchParity, DeprecatedVectorShimStillExecutes)
+TEST(DispatchParity, DecodedSnippetMatchesReference)
 {
-    // The vector overload survives one release as a deprecated shim;
-    // it must keep behaving like decode-then-execute.
+    // A snippet decoded once runs the same through the threaded
+    // executor and the frozen reference loop.
     auto m = makeMachine();
     auto n = makeMachine();
     auto code = assemble("mov RAX, 5; add RAX, 3");
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    ExecStats sm = m->execute(code);
-#pragma GCC diagnostic pop
-    ExecStats sn = n->execute(Program::decode(n->uarch(), code));
+    ExecStats sm = m->execute(Program::decode(m->uarch(), code));
+    ExecStats sn = n->executeReference(Program::decode(n->uarch(), code));
     EXPECT_EQ(sm.endCycle, sn.endCycle);
     EXPECT_EQ(m->arch().gpr, n->arch().gpr);
+    EXPECT_EQ(m->arch().gpr[0], 8u);
 }
 
 } // namespace

@@ -469,6 +469,43 @@ TEST(Interrupts, CliStiControl)
     EXPECT_FALSE(m->interruptsEnabled());
 }
 
+// ---------------------------------------------------------- snapshot --
+
+TEST(Snapshot, RestoredMachineRunsLikeANewOne)
+{
+    // Loads, stores, a taken branch and CPUID touch all the state
+    // restore() puts back: caches, TLB, physical pages, branch table,
+    // RNG, PMU and scheduler.
+    auto code = assemble("mov R14, 0x10000; mov R15, 2000; "
+                         "l: mov RAX, [R14]; mov [R14+4096], R15; "
+                         "cpuid; add R14, 64; dec R15; jnz l");
+    auto prepare = [] {
+        auto m = makeMachine();
+        m->setInterruptsEnabled(true);
+        return m;
+    };
+    auto observe = [&](Machine &m) {
+        ExecStats stats = execProgram(m, code);
+        std::vector<std::uint64_t> seen = {stats.startCycle,
+                                           stats.endCycle,
+                                           stats.interrupts};
+        for (unsigned e = 0; e < kNumEvents; ++e)
+            seen.push_back(m.pmu().total(static_cast<EventId>(e)));
+        for (std::uint64_t v : m.arch().gpr)
+            seen.push_back(v);
+        return seen;
+    };
+
+    auto fresh = prepare();
+    auto reused = prepare();
+    Machine::Snapshot snap = reused->snapshot();
+    auto expected = observe(*fresh);
+    observe(*reused);
+    reused->restore(snap);
+    EXPECT_EQ(reused->memory().readVirt(0x11000, 8), 0u);
+    EXPECT_EQ(observe(*reused), expected);
+}
+
 // --------------------------------------------------------------- TLB --
 
 TEST(Tlb, ArrayLruReplacement)

@@ -137,8 +137,8 @@ TEST(Builder, MatchesTheSerialCharacterizer)
     // The campaign path and the serial characterizeAll() path must
     // agree. Not bit-identical: the serial path runs every spec on
     // one machine whose micro-state (caches, memory) evolves, while
-    // campaign workers each start from a fresh replica -- exact
-    // equality is only guaranteed between identical campaign layouts
+    // campaign workers start every spec from a newly set-up machine --
+    // exact equality is only guaranteed between campaigns
     // (test_campaign covers that).
     Engine engine;
     TableBuildOptions opt;

@@ -33,11 +33,12 @@ Checked ratios:
                           once instead of twice)
   profile_jobs4_vs_serial BM_ProfileCampaign/4 / BM_ProfileSerial
                           (machine-profile construction through the
-                          campaign executor -- fresh machine per spec,
-                          so layout-invariant -- vs the serial
-                          plan-order run on one machine; regresses if
-                          the profile workload stops scaling or the
-                          per-spec machine construction gets dearer)
+                          campaign executor -- every spec restored to
+                          the post-setup snapshot, so layout-invariant
+                          -- vs the serial plan-order run on one
+                          machine; regresses if the profile workload
+                          stops scaling or the per-spec restore gets
+                          dearer)
   predecode_vs_legacy     BM_HotpathPredecoded / BM_HotpathLegacy
                           (the predecoded-program hot path vs
                           re-materializing + re-decoding the unrolled
@@ -103,6 +104,10 @@ equal the given value exactly; they are counts, not times):
   BM_SessionSetupPooled machines_constructed == 0
                           (a warm pool serves every session without
                           building a machine)
+  BM_CampaignJobs/N     machines_per_campaign == N, for N = 1, 2, 4
+                          (each campaign worker builds one machine and
+                          restores its snapshot between specs; a
+                          machine built per spec would read 200)
 
 Usage:
   check_bench.py --baseline bench/BENCH_baseline.json \
@@ -137,6 +142,9 @@ RATIOS = {
 # benchmark name -> {user counter: exact required value}
 EXACT_COUNTERS = {
     "BM_SessionSetupPooled": {"machines_constructed": 0},
+    "BM_CampaignJobs/1": {"machines_per_campaign": 1},
+    "BM_CampaignJobs/2": {"machines_per_campaign": 2},
+    "BM_CampaignJobs/4": {"machines_per_campaign": 4},
 }
 
 
