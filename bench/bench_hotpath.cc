@@ -6,11 +6,17 @@
  *
  *  - legacy: re-materialize the unrolled measurement code and decode
  *    every instruction on every measurement (pre-predecode);
- *  - switch dispatch: the predecoded Program through the frozen
- *    switch-based reference executor (Machine::executeReference);
+ *  - switch dispatch: the predecoded Program through the reference
+ *    executor (Machine::executeReference): per-entry DecodedInsn reads,
+ *    a switch on the opcode's class, immediate PMU accounting;
  *  - threaded dispatch: the predecoded Program through the threaded
  *    computed-goto SoA executor with batched PMU accounting
  *    (Machine::execute, the production path).
+ *
+ * Both executors run the same semantics bodies, prologue,
+ * epilogue and scheduler primitives (sim/semantics.hh), so the
+ * dispatch ratio measures only what the threaded executor adds: the
+ * SoA image, computed-goto dispatch and batched counting.
  *
  * check_bench.py enforces two ratios from these numbers:
  * predecode_vs_legacy (BM_HotpathPredecoded / BM_HotpathLegacy, the
@@ -81,10 +87,9 @@ BENCHMARK(BM_HotpathLegacy);
 void
 BM_HotpathSwitchDispatch(benchmark::State &state)
 {
-    // The predecoded program through the frozen switch-based reference
-    // executor: the PR 5 hot path, kept as the parity baseline. The
-    // dispatch_vs_predecode gate measures the threaded executor
-    // against this.
+    // The predecoded program through the switch-based reference
+    // executor, the parity baseline. The dispatch_vs_predecode gate
+    // measures the threaded executor against this.
     setQuiet(true);
     auto machine = hotpathMachine();
     auto params = hotpathParams();

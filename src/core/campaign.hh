@@ -169,14 +169,13 @@ struct CampaignOptions
      */
     bool observe = false;
     /**
-     * Default cycle budget (0 = none) for specs that do not carry
-     * their own BenchmarkSpec::cycleBudget. Applied to the resolved
-     * spec at execution time -- after dedup keys are computed -- so
-     * canonical keys, dedup behavior, and golden artifacts are
-     * unaffected; only a runaway spec can observe the difference (it
-     * settles as RunError::Code::BudgetExceeded instead of hanging a
-     * worker). The table/profile builders arm this so a planner bug
-     * can never hang a golden-regeneration CI job.
+     * Cycle budget for specs that do not carry their own
+     * BenchmarkSpec::cycleBudget (0 = kDefaultCycleBudget). Applied to
+     * the resolved spec at execution time -- after dedup keys are
+     * computed -- so canonical keys, dedup behavior, and golden
+     * artifacts are unaffected; only a spec that runs past it can
+     * observe the difference (it settles as
+     * RunError::Code::BudgetExceeded).
      */
     std::uint64_t specBudget = 0;
     /**
@@ -214,14 +213,13 @@ struct CampaignOptions
 };
 
 /**
- * The CampaignOptions::specBudget the table/profile builders arm by
- * default: generous enough that no sane characterization spec gets
- * near it (the longest golden-table specs retire well under 10M
- * cycles), so golden artifacts stay byte-identical, while a planner
- * bug that would otherwise hang a builder job settles as a
- * BudgetExceeded outcome in seconds.
+ * Alias of core::kDefaultCycleBudget, the budget every run gets unless
+ * its spec or campaign sets one (see there for why it is 50M cycles).
+ * The table/profile builders rely on that default; the name stays for
+ * callers that still assign it to CampaignOptions::specBudget.
  */
-inline constexpr std::uint64_t kBuilderSpecBudget = 2'000'000'000;
+inline constexpr std::uint64_t kBuilderSpecBudget =
+    core::kDefaultCycleBudget;
 
 /** Execution statistics of one campaign. */
 struct CampaignReport

@@ -88,9 +88,10 @@ printUsage()
         "  -report <file>       write the campaign report (JSON, or CSV\n"
         "                       with -csv) to a file ('-' = stderr)\n"
         "  -cycle_budget <n>    abort any single run after n simulated\n"
-        "                       cycles with a budget-exceeded error\n"
-        "                       (default 0 = unlimited); applies to\n"
-        "                       every queued spec, incl. spec-file\n"
+        "                       cycles with a budget-exceeded error;\n"
+        "                       0 (the default) means 50000000 cycles,\n"
+        "                       so raise it for longer specs; applies\n"
+        "                       to every queued spec, incl. spec-file\n"
         "                       lines\n"
         "  -max_retries <n>     retry a spec whose failure is marked\n"
         "                       transient up to n times with backoff\n"

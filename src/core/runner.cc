@@ -433,18 +433,18 @@ Runner::run(const BenchmarkSpec &spec)
     if (auto issue = validateSpec(spec, mode_))
         fatal(issue->message);
 
-    // Arm the per-run cycle budget. RAII: a pooled machine must never
-    // carry a previous spec's deadline into the next run, including
-    // when the budget trips and unwinds through here.
+    // Arm the per-run cycle budget (resolved here, after dedup keys
+    // were built, so the default never enters a canonical key). RAII:
+    // a pooled machine must never carry a previous spec's deadline
+    // into the next run, including when the budget trips and unwinds
+    // through here.
     struct BudgetGuard
     {
         sim::Machine &machine;
         ~BudgetGuard() { machine.setCycleBudget(0); }
     } budget_guard{machine_};
-    if (spec.cycleBudget != 0) {
-        machine_.setCycleBudget(spec.cycleBudget);
-        obs::Registry::process().counter("runner.budget.armed").add();
-    }
+    machine_.setCycleBudget(spec.cycleBudget != 0 ? spec.cycleBudget
+                                                  : kDefaultCycleBudget);
 
     auto &pmu = machine_.pmu();
     BenchmarkResult result;

@@ -73,6 +73,18 @@ const char *lintLevelName(LintLevel level);
 /** Inverse of lintLevelName(); std::nullopt for unknown names. */
 std::optional<LintLevel> lintLevelFromName(std::string_view name);
 
+/**
+ * The cycle budget Runner::run arms when neither the spec
+ * (BenchmarkSpec::cycleBudget) nor the campaign
+ * (CampaignOptions::specBudget) sets one. Every golden table and
+ * profile spec runs well inside it -- the largest, Skylake's WBINVD
+ * throughput/ports spec, needs between 25M and 30M cycles -- while an
+ * endless loop stops after 50M simulated cycles. The host time that
+ * takes depends on the loop: 0.01 s for a WBINVD loop, about 13 s for
+ * a `jmp` loop that retires 100M instructions (4-vCPU VM).
+ */
+inline constexpr std::uint64_t kDefaultCycleBudget = 50'000'000;
+
 /** User-visible benchmark parameters (the CLI options, §III). */
 struct BenchmarkSpec
 {
@@ -103,14 +115,15 @@ struct BenchmarkSpec
     /** Static-analysis opt-in (observe-only default: Off). */
     LintLevel lintLevel = LintLevel::Off;
     /**
-     * Cycle budget for the whole run() (0 = unlimited): once the
+     * Cycle budget for the whole run() (0 = the campaign's
+     * CampaignOptions::specBudget, else kDefaultCycleBudget): once the
      * simulated machine has consumed this many cycles across every
      * warm-up and measurement execution of this spec, the run stops
      * with nb::BudgetExceededError (surfaced by the session/campaign
-     * layers as RunError::Code::BudgetExceeded). The runaway-spec
-     * guard: an R1-style infinite loop that dodges the opt-in linter
-     * returns a typed error instead of hanging a worker. Campaigns
-     * can impose a default via CampaignOptions::specBudget.
+     * layers as RunError::Code::BudgetExceeded). This is the one
+     * runaway-spec guard: an endless loop that dodges the opt-in
+     * linter returns a typed error instead of hanging a worker. Set
+     * it above the default for a legitimately longer spec.
      */
     std::uint64_t cycleBudget = 0;
     /** Programmable events. */

@@ -735,10 +735,6 @@ buildMachineProfile(Engine &engine, const ProfileOptions &options)
     }
     campaign_opt.trace = options.trace;
     campaign_opt.observe = options.observe;
-    // A runaway planner spec settles as BudgetExceeded instead of
-    // hanging profile generation (outcomes for sane specs, and thus
-    // the golden profiles, are unaffected).
-    campaign_opt.specBudget = kBuilderSpecBudget;
     // Workers reproduce the planning machine's reservation and
     // prefetcher state before running anything.
     Addr r14_size = plan.r14Size;

@@ -1,16 +1,19 @@
 /**
  * @file
- * Machine framework: construction, scheduling, interrupts, MSRs, and
- * the frozen reference execution loop. The primary threaded executor
- * lives in dispatch.cc; reference instruction semantics in exec.cc.
+ * Machine framework: construction, memory helpers, interrupts, MSRs,
+ * snapshots, the per-call begin/end and budget checkpoint, and the
+ * reference executor. The threaded executor lives in
+ * dispatch.cc; what each instruction does (bodies, prologue,
+ * epilogue, scheduler primitives) is in semantics.hh, shared by both.
  */
 
 #include "machine.hh"
 
 #include <algorithm>
+#include <sstream>
 
-#include "common/bits.hh"
 #include "common/logging.hh"
+#include "sim/semantics.hh"
 
 namespace nb::sim
 {
@@ -40,96 +43,6 @@ Machine::scheduleNextInterrupt()
     // +/- 20% jitter.
     std::uint64_t jitter = rng_.nextRange(period * 8 / 10, period * 12 / 10);
     nextInterrupt_ = sched_.maxCompletion + jitter;
-}
-
-Cycles
-Machine::issueSlot(unsigned effective_issue_width)
-{
-    // Scheduler-window back-pressure: stall issue until the oldest
-    // in-flight µop completes.
-    if (sched_.window.size() >= uarch_.windowSize) {
-        Cycles oldest = sched_.window.front();
-        sched_.window.pop_front();
-        if (oldest > sched_.issueCycle) {
-            sched_.issueCycle = oldest;
-            sched_.issuedInCycle = 0;
-        }
-    }
-    if (sched_.issuedInCycle >= effective_issue_width) {
-        ++sched_.issueCycle;
-        sched_.issuedInCycle = 0;
-    }
-    ++sched_.issuedInCycle;
-    return sched_.issueCycle;
-}
-
-Machine::UopTiming
-Machine::dispatchUop(uarch::PortMask ports, Cycles ready, unsigned latency,
-                     unsigned block_cycles)
-{
-    ready = std::max(ready, sched_.minDispatch);
-    if (ports == 0) {
-        // µop that occupies no execution port (e.g. eliminated or
-        // fence-internal); completes at readiness.
-        Cycles done = ready + latency;
-        sched_.maxCompletion = std::max(sched_.maxCompletion, done);
-        sched_.window.push_back(done);
-        return {ready, done};
-    }
-
-    // Choose the allowed port with the earliest dispatch opportunity;
-    // break ties towards the least-used port, so that symmetric ports
-    // (e.g. the two load ports) split a dependent chain evenly.
-    unsigned best_port = 0;
-    Cycles best_cycle = ~Cycles{0};
-    unsigned n_ports = ports_.numPorts;
-    for (unsigned p = 0; p < n_ports; ++p) {
-        if (!(ports & (1u << p)))
-            continue;
-        Cycles c = std::max(ready, sched_.portFree[p]);
-        if (c < best_cycle ||
-            (c == best_cycle &&
-             sched_.portUse[p] < sched_.portUse[best_port])) {
-            best_cycle = c;
-            best_port = p;
-        }
-    }
-    NB_ASSERT(best_cycle != ~Cycles{0}, "empty port mask");
-
-    ++sched_.portUse[best_port];
-    sched_.portFree[best_port] = best_cycle + 1 + block_cycles;
-    Cycles done = best_cycle + std::max(1u, latency);
-    if (latency == 0)
-        done = best_cycle + 1;
-    sched_.maxCompletion = std::max(sched_.maxCompletion, done);
-    sched_.window.push_back(done);
-
-    count(EventId::UopsExecuted, 1, best_cycle);
-    if (best_port < 8)
-        count(portEvent(best_port), 1, best_cycle);
-    return {best_cycle, done};
-}
-
-void
-Machine::retireInstr(Cycles completion, bool is_branch, bool mispredicted)
-{
-    Cycles retire = std::max(completion, sched_.lastRetire);
-    if (retire == sched_.lastRetire &&
-        sched_.retiredInCycle >= uarch_.retireWidth) {
-        ++retire;
-    }
-    if (retire != sched_.lastRetire)
-        sched_.retiredInCycle = 0;
-    ++sched_.retiredInCycle;
-    sched_.lastRetire = retire;
-    sched_.maxCompletion = std::max(sched_.maxCompletion, retire);
-
-    count(EventId::InstrRetired, 1, retire);
-    if (is_branch) {
-        count(EventId::BrInstRetired, 1, retire);
-        if (mispredicted)
-            count(EventId::BrMispRetired, 1, retire);
-    }
 }
 
 void
@@ -287,82 +200,105 @@ Machine::maybeInterrupt(ExecContext &ctx)
     scheduleNextInterrupt();
 }
 
-ExecStats
-Machine::executeReference(const Program &prog)
+ExecContext
+Machine::beginExec(const Program &prog) const
 {
     ExecContext ctx;
     ctx.program = &prog;
     ctx.stats.startCycle = sched_.maxCompletion;
-
     // Front-end footprint model (§III-F): code that no longer fits the
     // instruction cache decodes at a reduced rate. The footprint is
     // the *dynamic* layout's size -- repeat-encoded programs occupy
     // the same i-cache space as their materialized equivalent.
     std::uint64_t footprint = prog.virtualSize() * 4; // 4 bytes/insn
-    ctx.effectiveIssueWidth = uarch_.issueWidth;
+    ctx.issueWidth = uarch_.issueWidth;
     if (footprint > 256 * 1024)
-        ctx.effectiveIssueWidth = std::max(1u, uarch_.issueWidth / 4);
+        ctx.issueWidth = std::max(1u, uarch_.issueWidth / 4);
     else if (footprint > 32 * 1024)
-        ctx.effectiveIssueWidth = std::max(2u, uarch_.issueWidth / 2);
+        ctx.issueWidth = std::max(2u, uarch_.issueWidth / 2);
+    ctx.windowSize = uarch_.windowSize;
+    ctx.retireWidth = uarch_.retireWidth;
+    ctx.portLimit =
+        static_cast<uarch::PortMask>((1u << ports_.numPorts) - 1);
+    ctx.observer = execObserver_;
+    return ctx;
+}
 
-    // Cursor over the virtual index space: (block, iteration within
-    // the block's repeat count, offset within the pattern). Sequential
-    // advance is O(1); a taken branch relocates by scanning the block
-    // list (blocks are contiguous in virtual space and few).
-    const std::vector<Program::Block> &blocks = prog.blocks();
-    const std::uint64_t vsize = prog.virtualSize();
-    std::size_t block_idx = 0;
-    std::uint64_t iter = 0;
-    std::uint32_t offset = 0;
-    std::uint64_t vidx = 0;      // virtual index of the cursor
-    std::uint64_t copy_base = 0; // virtual index of the current copy
-
-    auto relocate = [&](std::uint64_t v) {
-        for (block_idx = 0; block_idx < blocks.size(); ++block_idx) {
-            const Program::Block &b = blocks[block_idx];
-            std::uint64_t span =
-                static_cast<std::uint64_t>(b.entryCount) * b.repeat;
-            if (v < b.firstVirtual + span) {
-                std::uint64_t rel = v - b.firstVirtual;
-                iter = rel / b.entryCount;
-                offset = static_cast<std::uint32_t>(
-                    rel % b.entryCount);
-                copy_base = b.firstVirtual + iter * b.entryCount;
-                vidx = v;
-                return;
-            }
-        }
-        vidx = v; // past the end: control falls off the program
-    };
-
-    while (vidx < vsize) {
-        if (ctx.stats.instructions >= maxInstr_) {
-            fatal("instruction budget exceeded (", maxInstr_,
-                  "); possible endless loop in microbenchmark");
-        }
-        const Program::Block &b = blocks[block_idx];
-        const DecodedInsn &d = prog.entry(b.entryBegin + offset);
-        ctx.copyBase = copy_base;
-        // Advance the cursor to the fallthrough position.
-        ++vidx;
-        if (++offset == b.entryCount) {
-            offset = 0;
-            if (++iter == b.repeat) {
-                iter = 0;
-                ++block_idx;
-            }
-            copy_base = vidx;
-        }
-        ctx.nextIdx = vidx;
-        executeInstr(d, ctx);
-        ++ctx.stats.instructions;
-        if (ctx.nextIdx != vidx)
-            relocate(ctx.nextIdx); // a taken branch redirected us
-        maybeInterrupt(ctx);
-    }
-
+ExecStats
+Machine::endExec(ExecContext &ctx) const
+{
     ctx.stats.endCycle = sched_.maxCompletion;
+    if (ctx.observer) {
+        ctx.observer->instructions += ctx.stats.instructions;
+        ctx.observer->cycles += ctx.stats.endCycle - ctx.stats.startCycle;
+    }
     return ctx.stats;
+}
+
+void
+Machine::budgetCheckpoint(ExecContext &ctx)
+{
+    const Cycles consumed = sched_.maxCompletion - ctx.stats.startCycle;
+    fault::maybeInject(fault::Site::Execute, consumed);
+    if (cycleDeadline_ == 0 || sched_.maxCompletion < cycleDeadline_)
+        return;
+    // Commit the batched PMU state so the error carries an accurate
+    // partial snapshot (the flush is idempotent; the BatchCountScope
+    // flush during unwind then finds nothing pending).
+    flushPendingCounts();
+    std::ostringstream os;
+    os << "cycle budget exceeded (" << cycleBudget_ << " cycles): "
+       << ctx.stats.instructions << " instructions retired, "
+       << consumed << " cycles consumed in this call";
+    if (pmu_.hasFixed()) {
+        const Cycles now = sched_.maxCompletion;
+        os << "; partial PMU fixed counters: instructions="
+           << pmu_.readFixed(0, now)
+           << ", core_cycles=" << pmu_.readFixed(1, now)
+           << ", ref_cycles=" << pmu_.readFixed(2, now);
+    }
+    const std::string msg = os.str();
+    detail::emitMessage("fatal: ", msg);
+    throw BudgetExceededError(msg, ctx.stats.instructions, consumed,
+                              cycleBudget_);
+}
+
+ExecStats
+Machine::executeReference(const Program &prog)
+{
+    ExecContext ctx = beginExec(prog);
+    ProgramCursor cursor(prog);
+    InsnState s;
+    while (!cursor.done()) {
+        checkpoint(ctx);
+        const DecodedInsn &d = prog.entry(cursor.advance(ctx));
+        s.insn = &prog.insn(d);
+        s.memOp = d.memOpIdx >= 0 ? &s.insn->operands[d.memOpIdx] : nullptr;
+        s.srcRegs = prog.srcRegs(d);
+        s.addrRegs = prog.addrRegs(d);
+        s.uopPorts = prog.uopPorts(d);
+        s.target = d.target;
+        s.flags = hotFlags(d);
+        s.srcCount = d.srcCount;
+        s.addrCount = d.addrCount;
+        s.uopCount = d.uopCount;
+        s.latency = d.latency;
+        s.blockCycles = d.blockCycles;
+        s.opWidth = d.opWidth;
+        s.nIssueUops = d.nIssueUops;
+        beginInsn(s, ctx);
+
+        const OpClass c = opcodeClass(s.insn->opcode);
+        if (isSerializing(c)) {
+            serialize(c, s, ctx);
+        } else {
+            prologue(s, ctx);
+            semantics(c, s, ctx);
+            epilogue(s, ctx);
+        }
+        endInsn(ctx, cursor);
+    }
+    return endExec(ctx);
 }
 
 Machine::Snapshot::Snapshot(const Machine &m)
@@ -370,7 +306,7 @@ Machine::Snapshot::Snapshot(const Machine &m)
       pmu(m.pmu_), caches(m.caches_.snapshot()), tlb(m.tlb_),
       sched(m.sched_), privilege(m.privilege_),
       interruptsEnabled(m.interruptsEnabled_), rdpmcUser(m.rdpmcUser_),
-      maxInstr(m.maxInstr_), cycleBudget(m.cycleBudget_),
+      cycleBudget(m.cycleBudget_),
       cycleDeadline(m.cycleDeadline_), nextInterrupt(m.nextInterrupt_),
       branchTable(m.branchTable_)
 {
@@ -395,7 +331,6 @@ Machine::restore(const Snapshot &s)
     privilege_ = s.privilege;
     interruptsEnabled_ = s.interruptsEnabled;
     rdpmcUser_ = s.rdpmcUser;
-    maxInstr_ = s.maxInstr;
     cycleBudget_ = s.cycleBudget;
     cycleDeadline_ = s.cycleDeadline;
     nextInterrupt_ = s.nextInterrupt;

@@ -69,13 +69,13 @@ inline constexpr std::uint32_t kCboxMissBase = 0x740;   ///< +slice
 } // namespace msr
 
 /**
- * Opt-in observation sink for the threaded executor (execute()).
- * When attached via Machine::setExecObserver, the dispatch loop
- * accrues what the core *actually did* -- per-port dispatched µops,
- * issue/dispatch totals, retire-stall cycles -- across execute()
- * calls. Observation is strictly read-only: attaching an observer
- * must leave every observable (ExecStats, arch state, PMU totals,
- * time-resolved samples) bit-identical, which the parity tests pin.
+ * Opt-in observation sink for execution. When attached via
+ * Machine::setExecObserver, the scheduler primitives accrue what the
+ * core *actually did* -- per-port dispatched µops, issue/dispatch
+ * totals, retire-stall cycles -- across execute() calls. Observation
+ * is strictly read-only: attaching an observer must leave every
+ * observable (ExecStats, arch state, PMU totals, time-resolved
+ * samples) bit-identical, which the parity tests pin.
  * Counters accumulate until reset(); obs::observeSpec() wraps this
  * in the paper's differential pattern to cancel harness overhead.
  */
@@ -96,6 +96,10 @@ struct ExecObserver
 
     void reset() { *this = ExecObserver{}; }
 };
+
+struct ExecContext;
+struct InsnState;
+class ProgramCursor;
 
 /** Statistics of one execute() call. */
 struct ExecStats
@@ -144,22 +148,22 @@ class Machine
      * batched locally and committed in bulk when the call returns.
      *
      * @throws nb::FatalError on faults (privilege violation, page fault,
-     *         divide error) and on exceeding the instruction budget.
+     *         divide error).
+     * @throws nb::BudgetExceededError once an armed cycle budget runs
+     *         out (see setCycleBudget()); nothing else bounds a call.
      */
     ExecStats execute(const Program &prog);
 
     /**
-     * The pre-threaded-dispatch execution path (switch-based
-     * executeInstr per dynamic instruction, per-event PMU accounting),
-     * kept frozen as the parity reference: execute() must stay
-     * bit-identical to it in every observable (ExecStats, registers,
-     * flags, counter totals and time-resolved samples), which the
-     * parity suite and the dispatch_vs_predecode bench gate pin.
+     * The parity reference: a plain loop that reads the array-of-
+     * structs DecodedInsn, switches on the opcode's class into the same
+     * semantics bodies as execute(), and counts every PMU event as it
+     * happens. execute() must stay bit-identical to it in every
+     * observable (ExecStats, registers, flags, counter totals and
+     * time-resolved samples), which the parity suite pins; the
+     * dispatch_vs_predecode bench gate measures execute() against it.
      */
     ExecStats executeReference(const Program &prog);
-
-    /** Instruction budget per execute() call (runaway-loop guard). */
-    void setMaxInstructions(std::uint64_t budget) { maxInstr_ = budget; }
 
     /**
      * Arm (or, with 0, disarm) a cycle budget: once simulated time
@@ -240,8 +244,34 @@ class Machine
         std::vector<std::uint64_t> portUse;
     };
 
+    // --------------------------------------------------- execution core
+    // Both executors (execute() and executeReference()) run the same
+    // steps; their always-inline definitions are in sim/semantics.hh.
+
+    /** Start a call: the context, with the front-end footprint rule
+     *  applied to @p prog. */
+    ExecContext beginExec(const Program &prog) const;
+    /** Finish a call: close the stats and accrue the observer. */
+    ExecStats endExec(ExecContext &ctx) const;
+
+    /** Amortized resilience checkpoint, once per instruction. */
+    inline void checkpoint(ExecContext &ctx);
+    /** Reset the per-instruction values of @p s and check privilege. */
+    inline void beginInsn(InsnState &s, const ExecContext &ctx);
+    /** The whole path of a class that bypasses the prologue and
+     *  epilogue (PFC markers, fences, CPUID; see isSerializing()). */
+    inline void serialize(OpClass c, InsnState &s, ExecContext &ctx);
+    /** Source/address readiness, issue, load µop and core µops. */
+    inline void prologue(InsnState &s, ExecContext &ctx);
+    /** The semantics body of class @p c. */
+    inline void semantics(OpClass c, InsnState &s, ExecContext &ctx);
+    /** Store µops, branch prediction and retirement. */
+    inline void epilogue(InsnState &s, ExecContext &ctx);
+    /** Count the instruction, follow a taken branch, poll interrupts. */
+    inline void endInsn(ExecContext &ctx, ProgramCursor &cursor);
+
     /** Account one issue slot; returns the issue cycle. */
-    Cycles issueSlot(unsigned effective_issue_width);
+    inline Cycles issueSlot(ExecContext &ctx);
 
     /** Dispatch/completion cycles of one µop. */
     struct UopTiming
@@ -252,29 +282,15 @@ class Machine
 
     /**
      * Dispatch a µop. Picks the allowed port with the earliest dispatch
-     * cycle (round-robin tie-break), accounts port-dispatch events, and
-     * returns the dispatch and completion cycles.
+     * cycle (ties go to the least-used port), accounts port-dispatch
+     * events, and returns the dispatch and completion cycles.
      */
-    UopTiming dispatchUop(uarch::PortMask ports, Cycles ready,
-                          unsigned latency, unsigned block_cycles);
+    inline UopTiming dispatchUop(ExecContext &ctx, uarch::PortMask ports,
+                                 Cycles ready, unsigned latency,
+                                 unsigned block_cycles);
 
-    void retireInstr(Cycles completion, bool is_branch, bool mispredicted);
-
-    // --------------------------------------------------- execution core
-    struct ExecContext
-    {
-        const Program *program = nullptr;
-        /** Virtual index of the next instruction (the fallthrough /
-         *  return address while executeInstr runs). */
-        std::uint64_t nextIdx = 0;
-        /** Virtual index of the current pattern copy's first entry
-         *  (resolves pattern-relative branch targets). */
-        std::uint64_t copyBase = 0;
-        ExecStats stats;
-        unsigned effectiveIssueWidth = 4;
-    };
-
-    void executeInstr(const DecodedInsn &d, ExecContext &ctx);
+    inline void retireInstr(ExecContext &ctx, Cycles completion,
+                            bool is_branch, bool mispredicted);
 
     /** Memory helpers (semantics + timing + events). */
     Addr effectiveAddress(const x86::MemRef &mem) const;
@@ -290,9 +306,8 @@ class Machine
     void maybeInterrupt(ExecContext &ctx);
     void scheduleNextInterrupt();
 
-    /** Cold path of the dispatch loop's amortized resilience
-     *  checkpoint: fault-injection arrival (execute site) and the
-     *  cycle-budget deadline. Throws InjectedFault or
+    /** Cold path of checkpoint(): fault-injection arrival (execute
+     *  site) and the cycle-budget deadline. Throws InjectedFault or
      *  BudgetExceededError. */
     void budgetCheckpoint(ExecContext &ctx);
 
@@ -361,13 +376,12 @@ class Machine
     bool batchEvents_ = false;
     /** Pause-gated pending counts of non-time-resolved events. */
     std::array<std::uint64_t, kNumEvents> pendingCounts_{};
-    std::uint64_t maxInstr_ = 50'000'000;
     /** Armed cycle budget and its absolute deadline (0 = disarmed);
      *  see setCycleBudget(). */
     std::uint64_t cycleBudget_ = 0;
     Cycles cycleDeadline_ = 0;
     Cycles nextInterrupt_ = 0;
-    /** Observation sink (threaded executor only); not owned. */
+    /** Observation sink (see ExecObserver); not owned. */
     ExecObserver *execObserver_ = nullptr;
 
     /** Branch predictor: 2-bit saturating counters per virtual code
@@ -392,7 +406,6 @@ class Machine::Snapshot
     Privilege privilege;
     bool interruptsEnabled;
     bool rdpmcUser;
-    std::uint64_t maxInstr;
     std::uint64_t cycleBudget;
     Cycles cycleDeadline;
     Cycles nextInterrupt;

@@ -34,9 +34,8 @@ addReg(std::vector<Reg> &pool, std::uint32_t begin, Reg r)
     pool.push_back(r);
 }
 
-/** Handler class of an opcode (one computed-goto label per class in
- *  the threaded executor; opcodes sharing a reference-switch body
- *  share a class). */
+} // namespace
+
 OpClass
 opcodeClass(Opcode op)
 {
@@ -188,7 +187,30 @@ opcodeClass(Opcode op)
     }
 }
 
-} // namespace
+std::uint16_t
+hotFlags(const DecodedInsn &d)
+{
+    std::uint16_t flags = 0;
+    if (d.zeroIdiom)
+        flags |= hotflag::kZeroIdiom;
+    if (d.readsFlags)
+        flags |= hotflag::kReadsFlags;
+    if (d.doLoadUop)
+        flags |= hotflag::kDoLoadUop;
+    if (d.doStoreUop)
+        flags |= hotflag::kDoStoreUop;
+    if (d.hasLoad)
+        flags |= hotflag::kHasLoad;
+    if (d.hasStore)
+        flags |= hotflag::kHasStore;
+    if (d.isBranch)
+        flags |= hotflag::kIsBranch;
+    if (d.targetAbsolute)
+        flags |= hotflag::kTargetAbsolute;
+    if (d.privileged)
+        flags |= hotflag::kPrivileged;
+    return flags;
+}
 
 Program
 Program::decode(const uarch::MicroArch &ua, std::vector<Segment> segments)
@@ -354,30 +376,11 @@ Program::decode(const uarch::MicroArch &ua, std::vector<Segment> segments)
 
             // Hot struct-of-arrays mirror (same index as entries_).
             prog.opClass_.push_back(opcodeClass(insn.opcode));
-            std::uint16_t flags = 0;
-            if (d.zeroIdiom)
-                flags |= hotflag::kZeroIdiom;
-            if (d.readsFlags)
-                flags |= hotflag::kReadsFlags;
-            if (d.doLoadUop)
-                flags |= hotflag::kDoLoadUop;
-            if (d.doStoreUop)
-                flags |= hotflag::kDoStoreUop;
-            if (d.hasLoad)
-                flags |= hotflag::kHasLoad;
-            if (d.hasStore)
-                flags |= hotflag::kHasStore;
-            if (d.isBranch)
-                flags |= hotflag::kIsBranch;
-            if (d.targetAbsolute)
-                flags |= hotflag::kTargetAbsolute;
-            if (d.privileged)
-                flags |= hotflag::kPrivileged;
             HotTiming ht;
             ht.latency = d.latency;
             ht.blockCycles = d.blockCycles;
             ht.opWidth = d.opWidth;
-            ht.flags = flags;
+            ht.flags = hotFlags(d);
             ht.uopCount = d.uopCount;
             ht.nIssueUops = d.nIssueUops;
             ht.memOpIdx = d.memOpIdx;

@@ -2,7 +2,7 @@
  * @file
  * Predecoded program IR for the simulator hot path.
  *
- * Machine::executeInstr used to re-derive every static fact about an
+ * The executor used to re-derive every static fact about an
  * instruction -- uarch::coreTiming, µop counts, operand classification,
  * zero-idiom and dest-read checks, implicit reads, flag dependencies --
  * on every *dynamic* instruction, and the Runner re-materialized the
@@ -51,11 +51,11 @@ namespace nb::sim
 
 /**
  * Handler class of a decoded instruction: one value per semantics
- * handler of the threaded executor (sim/dispatch.cc), assigned at
- * decode time so the hot loop dispatches with a single computed goto
- * instead of re-switching on the opcode per dynamic instruction.
- * Opcodes sharing one switch body in the reference executor share one
- * class; the handler disambiguates on the opcode where needed.
+ * body (Machine::semantics in sim/semantics.hh), assigned at decode
+ * time so the threaded executor dispatches with a single computed
+ * goto instead of re-switching on the opcode per dynamic instruction.
+ * Opcodes sharing one body share a class; the body disambiguates on
+ * the opcode where needed.
  */
 enum class OpClass : std::uint8_t
 {
@@ -212,6 +212,13 @@ struct DecodedInsn
     bool privileged = false;    ///< OpcodeInfo::privileged
     bool targetAbsolute = false;///< target is a virtual index
 };
+
+/** Handler class of an opcode (one computed-goto label per class in
+ *  the threaded executor, one semantics body per class). */
+OpClass opcodeClass(x86::Opcode op);
+
+/** The hotflag:: bits of a decoded entry (HotTiming::flags). */
+std::uint16_t hotFlags(const DecodedInsn &d);
 
 /**
  * A predecoded, repeat-encoded instruction sequence bound to one

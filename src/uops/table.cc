@@ -444,10 +444,6 @@ buildInstructionTable(Engine &engine, const TableBuildOptions &options)
     }
     campaign_opt.trace = options.trace;
     campaign_opt.observe = options.observe;
-    // A runaway planner spec settles as BudgetExceeded instead of
-    // hanging table generation (outcomes for sane specs, and thus the
-    // golden tables, are unaffected).
-    campaign_opt.specBudget = kBuilderSpecBudget;
     CampaignResult campaign =
         engine.runCampaign(Characterizer::planSpecs(plan), campaign_opt);
 

@@ -1,14 +1,18 @@
 /**
  * @file
  * Bit-identity of the threaded computed-goto executor
- * (Machine::execute) against the frozen switch-based reference path
- * (Machine::executeReference, src/sim/exec.cc).
+ * (Machine::execute) against the switch-based reference executor
+ * (Machine::executeReference).
  *
- * The threaded executor is only correct if it is indistinguishable
- * from the reference: identical ExecStats, architectural state
- * (GPRs, vector registers, flags), every PMU scalar total, AND the
- * time-resolved counter samples -- batching the PMU accounting must
- * not move any increment to a different cycle. Each test runs the
+ * Both executors run the same semantics bodies and scheduler primitives
+ * (sim/semantics.hh); what these tests pin is what the threaded
+ * executor adds -- the struct-of-arrays image, the handler-table order
+ * and batched PMU accounting. It is only correct if it is
+ * indistinguishable from the reference: identical ExecStats,
+ * architectural state (GPRs, vector registers, flags), every PMU
+ * scalar total, AND the time-resolved counter samples -- batching
+ * the PMU accounting must not move any increment to a different
+ * cycle. Each test runs the
  * same predecoded program on two identically-seeded machines, one
  * per executor, and compares everything.
  */
@@ -246,6 +250,81 @@ TEST(DispatchParity, RepeatEncodedMatchesMaterialized)
     for (unsigned e = 0; e < kNumEvents; ++e) {
         EXPECT_EQ(a->pmu().total(static_cast<EventId>(e)),
                   b->pmu().total(static_cast<EventId>(e)));
+    }
+}
+
+TEST(DispatchParity, EveryOpClass)
+{
+    // One parity case per handler class, plus every opcode that shares
+    // a class with another (ADC/SBB/CMP, AND/OR, the shift family,
+    // every Jcc taken and not taken). A handlers[] entry out of order
+    // runs the wrong body for some class here, and the scan below
+    // fails as soon as a new class has no parity case.
+    const std::vector<std::string> programs = {
+        // Moves, exchanges and sign/zero extension.
+        "mov RBX, 0x80; movsx RAX, BL; movsx RCX, word [0x10000]; "
+        "mov qword [0x10000], RBX; movzx RDX, byte [0x10000]; "
+        "xchg RAX, RBX; xchg RCX, [0x10008]; movnti [0x10010], RCX; "
+        "bswap RCX; lea RSI, [RAX+RBX*2+3]; cmovnz RDI, RSI",
+        // Carry-chain and logic ops, multiplication and division.
+        "mov RAX, -1; add RAX, 1; adc RBX, 5; sbb RCX, 3; cmp RAX, RBX; "
+        "and RAX, 0xF0; or RBX, RAX; xor RDX, RDX; test RBX, RBX; "
+        "neg RCX; not RDX; inc RSI; dec RDI; imul RSI, RCX, 3; "
+        "mov RAX, 1000; mov RCX, 7; xor RDX, RDX; mul RCX; "
+        "xor RDX, RDX; div RCX; mov RAX, -1000; mov RDX, -1; idiv RCX",
+        // Shifts and bit manipulation.
+        "mov RAX, -3839; shl RAX, 1; shr RAX, 3; "
+        "neg RAX; sar RAX, 2; rol RAX, 5; ror RAX, 7; shr RAX, 0; "
+        "mov RBX, 0x0F00; popcnt RCX, RBX; lzcnt RDX, RBX; "
+        "tzcnt RSI, RBX; bsf RDI, RBX; bsr R8, RBX; bsf R9, R10; "
+        "bt RBX, 9; bts RBX, 1; btr RBX, 8; setz AL; setnz CL",
+        // Every Jcc, taken and not taken, across <, == and > flags.
+        "mov R15, 4; top: cmp R15, 2; "
+        "jz a; lea RBX, [RBX+1]; a: jnz b; lea RBX, [RBX+2]; "
+        "b: jc c; lea RBX, [RBX+4]; c: jnc d; lea RBX, [RBX+8]; "
+        "d: jl e; lea RBX, [RBX+16]; e: jge f; lea RBX, [RBX+32]; "
+        "f: jle g; lea RBX, [RBX+64]; g: jg h; lea RBX, [RBX+128]; "
+        "h: dec R15; jnz top; jmp out; out: nop; pause",
+        // Stack, calls and returns.
+        "mov RAX, 11; push RAX; push qword [0x10000]; pop RBX; pop RCX; "
+        "call f; jmp done; f: add RAX, 1; ret; done: nop",
+        // Packed single/double and AVX arithmetic.
+        "pxor XMM1, XMM1; paddd XMM1, XMM1; movups XMM2, [0x10080]; "
+        "addps XMM2, XMM1; mulps XMM2, XMM2; divps XMM2, XMM1; "
+        "addpd XMM3, XMM2; mulpd XMM3, XMM3; divpd XMM3, XMM2; "
+        "movaps [0x100C0], XMM3; vaddps YMM4, YMM3, YMM2; "
+        "vmulps YMM5, YMM4, YMM3; vfmadd231ps YMM5, YMM4, YMM3",
+        // Counters, MSRs, cache control and interrupts (kernel mode).
+        "rdtsc; mov RCX, 0; rdpmc; mov RCX, 0x40000001; rdpmc; "
+        "mov RCX, 0xE8; rdmsr; mov RCX, 0x1A4; xor RAX, RAX; "
+        "xor RDX, RDX; wrmsr; mov RAX, [0x10040]; clflush [0x10040]; "
+        "prefetcht0 [0x10100]; prefetchnta [0x10140]; wbinvd; "
+        "mov RAX, [0x10040]; cli; sti",
+        // Serialization, fences and the counting markers.
+        "pfc_pause; imul RAX, RAX; pfc_resume; lfence; mfence; sfence; "
+        "mov RAX, 0; cpuid; add RAX, RBX",
+    };
+
+    const auto &ua = uarch::getMicroArch("Skylake");
+    std::vector<bool> covered(kNumOpClasses, false);
+    auto setup = [](Machine &m) {
+        configureCounters(m);
+        m.arch().writeGpr(Reg::RSP, 64, 0x10000 + 32 * kPageSize);
+        for (Addr a = 0x10000; a < 0x10200; a += 8)
+            m.memory().writeVirt(a, 0x3F800000'40000000ULL + a, 8);
+    };
+    for (const std::string &text : programs) {
+        SCOPED_TRACE(text);
+        Program prog = Program::decode(ua, assemble(text));
+        for (std::size_t i = 0; i < prog.entryCount(); ++i)
+            covered[static_cast<unsigned>(prog.opClasses()[i])] = true;
+        expectParity(prog, setup);
+    }
+
+    for (unsigned c = 0; c < kNumOpClasses; ++c) {
+        if (static_cast<OpClass>(c) == OpClass::Unhandled)
+            continue;
+        EXPECT_TRUE(covered[c]) << "OpClass " << c << " has no parity case";
     }
 }
 

@@ -69,6 +69,28 @@ TEST(Budget, WouldHangSpecSettlesAsBudgetExceeded)
               std::string::npos);
 }
 
+TEST(Budget, UnbudgetedRunawaySettlesUnderDefaultBudget)
+{
+    // No spec or campaign budget: the default cycle budget is the one
+    // runaway guard, and it stops the loop with a typed error. WBINVD
+    // costs about 1000 cycles, so the loop trips after ~50K
+    // instructions instead of running for seconds.
+    Engine engine;
+    SessionOptions opt;
+    opt.mode = core::Mode::Kernel;
+    Session session = engine.session(opt);
+    BenchmarkSpec spec;
+    spec.asmCode = "spin: wbinvd; jmp spin";
+    RunOutcome outcome = session.run(spec);
+    ASSERT_FALSE(outcome.ok());
+    EXPECT_EQ(outcome.error().code, RunError::Code::BudgetExceeded);
+    EXPECT_NE(outcome.error().message.find(
+                  "(" + std::to_string(core::kDefaultCycleBudget) +
+                  " cycles)"),
+              std::string::npos)
+        << outcome.error().message;
+}
+
 TEST(Budget, DisarmedAfterBudgetedRunOnPooledMachine)
 {
     Engine engine;

@@ -190,9 +190,18 @@ TEST(Semantics, PageFaultOnUnmapped)
 
 TEST(Semantics, RunawayLoopGuard)
 {
+    // The cycle budget is the one runaway guard: it stops an endless
+    // loop with a typed error that carries the progress made.
     auto m = makeMachine();
-    m->setMaxInstructions(10000);
-    EXPECT_THROW(execProgram(*m, assemble("spin: jmp spin")), FatalError);
+    m->setCycleBudget(10000);
+    try {
+        execProgram(*m, assemble("spin: jmp spin"));
+        FAIL() << "endless loop was not stopped";
+    } catch (const BudgetExceededError &e) {
+        EXPECT_EQ(e.budget(), 10000u);
+        EXPECT_GE(e.cycles(), 10000u);
+        EXPECT_GT(e.instructions(), 0u);
+    }
 }
 
 // -------------------------------------------------------- privileges --

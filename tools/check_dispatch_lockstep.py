@@ -18,11 +18,15 @@ the contract from the sources so CI catches drift at review time:
      op_sfence),
   4. checks every table label has a matching `op_<name>:` handler
      definition in dispatch.cc,
-  5. checks the scheduling-primitive lambdas in dispatch.cc still
-     name-match their frozen Machine counterparts in machine.cc
-     (issue_slot <-> Machine::issueSlot, dispatch_uop <->
-     Machine::dispatchUop, retire_insn <-> Machine::retireInstr),
-     which tests/test_dispatch_parity.cc diffs cycle-for-cycle,
+  5. checks each piece of execution is written once: every shared
+     step (the semantics bodies, prologue, epilogue, serializing paths
+     and the issueSlot/dispatchUop/retireInstr scheduler primitives)
+     has exactly one Machine:: definition in src/, dispatch.cc defines
+     no local copy of a scheduler primitive (issue_slot, dispatch_uop,
+     retire_insn), and no file in src/sim/ other than semantics.hh
+     (the bodies) switches on opcodes or opcode classes -- program.cc
+     may map opcodes to classes, nothing more. tests/test_dispatch.cc
+     then diffs the two executors over those shared bodies,
   6. checks the table-size static_assert against kNumOpClasses is
      still present.
 
@@ -35,12 +39,22 @@ import pathlib
 import re
 import sys
 
-# dispatch.cc scheduling lambda -> frozen Machine member it mirrors
-PRIMITIVE_PAIRS = {
-    "issue_slot": "issueSlot",
-    "dispatch_uop": "dispatchUop",
-    "retire_insn": "retireInstr",
-}
+# Machine members both executors share; each must be defined exactly once.
+SHARED_STEPS = (
+    "semantics",
+    "prologue",
+    "epilogue",
+    "serialize",
+    "issueSlot",
+    "dispatchUop",
+    "retireInstr",
+)
+
+# Names a local copy of a scheduler primitive would take in dispatch.cc.
+PRIMITIVE_COPIES = ("issue_slot", "dispatch_uop", "retire_insn")
+
+# A case label of an opcode or opcode-class switch.
+OPCODE_CASE = re.compile(r"\bcase\s+(?:x86::)?(Opcode|OpClass)::")
 
 
 def parse_opclass(program_hh):
@@ -91,7 +105,6 @@ def main():
 
     enumerators = parse_opclass(src / "program.hh")
     labels, dispatch_text = parse_handler_table(src / "dispatch.cc")
-    machine_text = (src / "machine.cc").read_text()
 
     failed = False
 
@@ -118,12 +131,40 @@ def main():
         if not re.search(rf"^\s*{label}:", dispatch_text, re.MULTILINE):
             fail(f"no '{label}:' handler definition in dispatch.cc")
 
-    # 5. scheduling primitives stay name-paired with Machine
-    for lam, member in PRIMITIVE_PAIRS.items():
-        if not re.search(rf"\bauto {lam}\s*=", dispatch_text):
-            fail(f"dispatch.cc lost the '{lam}' scheduling lambda")
-        if not re.search(rf"\bMachine::{member}\b", machine_text):
-            fail(f"machine.cc lost the 'Machine::{member}' primitive")
+    # 5. one statement of each shared step, no second opcode switch
+    sources = sorted(
+        p for p in (args.repo / "src").rglob("*") if p.suffix in (".cc", ".hh")
+    )
+    texts = {p: p.read_text() for p in sources}
+    for step in SHARED_STEPS:
+        where = [
+            p.relative_to(args.repo)
+            for p, text in texts.items()
+            for _ in re.finditer(rf"^Machine::{step}\(", text, re.MULTILINE)
+        ]
+        if len(where) != 1:
+            fail(
+                f"Machine::{step} must have exactly one definition in src/, "
+                f"found {len(where)} ({', '.join(map(str, where)) or 'none'})"
+            )
+    for copy in PRIMITIVE_COPIES:
+        if re.search(rf"\b{copy}\s*=", dispatch_text):
+            fail(
+                f"dispatch.cc defines a local '{copy}'; call the shared "
+                f"Machine member in sim/semantics.hh instead"
+            )
+    for path in sorted(src.iterdir()):
+        if path.name == "semantics.hh" or path.suffix not in (".cc", ".hh"):
+            continue
+        for match in OPCODE_CASE.finditer(texts[path]):
+            if path.name == "program.cc" and match.group(1) == "Opcode":
+                continue  # the opcode -> OpClass map
+            line = texts[path].count("\n", 0, match.start()) + 1
+            fail(
+                f"{path.relative_to(args.repo)}:{line}: {match.group(1)} "
+                f"switch outside sim/semantics.hh; opcode semantics are "
+                f"written once, in Machine::semantics"
+            )
 
     # 6. the compile-time size guard is still in place
     if not re.search(
@@ -138,7 +179,7 @@ def main():
     print(
         f"dispatch lockstep check passed: {len(enumerators)} OpClass "
         f"handlers in declaration order, "
-        f"{len(PRIMITIVE_PAIRS)} primitive pairs"
+        f"{len(SHARED_STEPS)} shared steps defined once"
     )
 
 
