@@ -37,7 +37,7 @@ BM_TableCampaign(benchmark::State &state)
 {
     setQuiet(true);
     Engine engine;
-    uops::TableBuildOptions opt;
+    CampaignOptions opt;
     opt.jobs = static_cast<unsigned>(state.range(0));
     uops::buildInstructionTable(engine, opt); // warm the program cache
     engine.resetStats();
@@ -64,7 +64,7 @@ BM_TableNoDedup(benchmark::State &state)
     // (once for the throughput decoder, once for ports).
     setQuiet(true);
     Engine engine;
-    uops::TableBuildOptions opt;
+    CampaignOptions opt;
     opt.jobs = 1;
     opt.dedup = false;
     uops::buildInstructionTable(engine, opt);
@@ -81,7 +81,7 @@ BM_TableSerialization(benchmark::State &state)
 {
     setQuiet(true);
     Engine engine;
-    uops::TableBuildOptions opt;
+    CampaignOptions opt;
     opt.jobs = 2;
     auto build = uops::buildInstructionTable(engine, opt);
     for (auto _ : state) {

@@ -41,7 +41,7 @@ main(int argc, char **argv)
 
     if (requests.empty()) {
         // Full catalog, campaign-backed.
-        uops::TableBuildOptions table_opt;
+        CampaignOptions table_opt;
         table_opt.session = opt;
         table_opt.jobs = 2;
         auto build = uops::buildInstructionTable(engine, table_opt);

@@ -87,7 +87,7 @@ class CacheSeq
      * Plan the benchmark runHitMiss() would execute, without running
      * it: the returned spec carries the generated body (eviction runs,
      * pause/resume markers, hit/miss events of the targeted level) and
-     * can go through Session::runBatch() or Engine::runCampaign().
+     * can go through Session::run() or Engine::runCampaign().
      * Block addresses are assigned against this tool's current target,
      * so the spec is only valid on a machine with the same memory
      * layout (same uarch/seed, R14 area reserved at the same base --

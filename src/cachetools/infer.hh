@@ -171,7 +171,7 @@ AgeGraph computeAgeGraph(SetProbe &probe, unsigned n_blocks,
 //
 // Campaign-ready variants of the inference procedures: plan*() emits
 // plain BenchmarkSpecs against a CacheSeq target (run them through
-// Session::runBatch() or Engine::runCampaign()), decode*() folds the
+// Session::run() or Engine::runCampaign()), decode*() folds the
 // outcomes back, in plan order, tolerating per-spec failures.
 
 /** Planned associativity measurement: spec k probes whether k freshly

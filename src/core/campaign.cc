@@ -82,6 +82,57 @@ CampaignOptions::resolvedJobs() const
     return std::max(1u, n);
 }
 
+std::uint64_t
+parseCount(const std::string &option, const std::string &value)
+{
+    auto parsed = parseInt(value);
+    if (!parsed || *parsed < 0)
+        fatal("bad value '", value, "' for option ", option);
+    return static_cast<std::uint64_t>(*parsed);
+}
+
+bool
+applySpecOption(core::BenchmarkSpec &spec, const std::string &option,
+                const std::function<std::string()> &value)
+{
+    if (option == "-asm") {
+        spec.asmCode = value();
+    } else if (option == "-asm_init") {
+        spec.asmInit = value();
+    } else if (option == "-unroll_count") {
+        spec.unrollCount = parseCount(option, value());
+    } else if (option == "-loop_count") {
+        spec.loopCount = parseCount(option, value());
+    } else if (option == "-n_measurements") {
+        spec.nMeasurements =
+            static_cast<unsigned>(parseCount(option, value()));
+    } else if (option == "-warm_up_count") {
+        spec.warmUpCount =
+            static_cast<unsigned>(parseCount(option, value()));
+    } else if (option == "-agg") {
+        spec.agg = parseAggregate(value());
+    } else if (option == "-serialize") {
+        spec.serialize = core::parseSerializeMode(value());
+    } else if (option == "-basic_mode") {
+        spec.basicMode = true;
+    } else if (option == "-no_mem") {
+        spec.noMem = true;
+    } else if (option == "-aperf_mperf") {
+        spec.aperfMperf = true;
+    } else if (option == "-lint_level") {
+        std::string name = value();
+        auto level = core::lintLevelFromName(name);
+        if (!level) {
+            fatal("bad value '", name,
+                  "' for option -lint_level (use off, warn, or error)");
+        }
+        spec.lintLevel = *level;
+    } else {
+        return false;
+    }
+    return true;
+}
+
 std::vector<SpecFileEntry>
 parseSpecLines(const std::string &text,
                const core::BenchmarkSpec &defaults)
@@ -102,114 +153,40 @@ parseSpecLines(const std::string &text,
         entry.spec = defaults;
         entry.spec.asmCode.clear();
         entry.spec.code.clear();
-
-        auto fail = [&](const std::string &why) {
+        try {
+            // A plain line is the benchmark body verbatim (the
+            // original spec-file format); options start with '-'.
+            if (line[0] != '-') {
+                entry.spec.asmCode = line;
+            } else {
+                auto tokens = tokenizeSpecLine(line);
+                if (!tokens)
+                    fatal("unterminated quote");
+                for (std::size_t t = 0; t < tokens->size(); ++t) {
+                    const std::string &opt = (*tokens)[t];
+                    auto value = [&]() -> std::string {
+                        if (t + 1 >= tokens->size())
+                            fatal("missing value for option ", opt);
+                        return (*tokens)[++t];
+                    };
+                    if (applySpecOption(entry.spec, opt, value))
+                        continue;
+                    // Per-line counter configs (§III-J): one campaign
+                    // can mix event sets.
+                    if (opt != "-config")
+                        fatal("unknown option '", opt, "'");
+                    entry.spec.config =
+                        core::CounterConfig::parseFile(value());
+                }
+                if (entry.spec.asmCode.empty())
+                    fatal("option line has no -asm body");
+            }
+        } catch (const FatalError &e) {
             entry.error = RunError{RunError::Code::InvalidSpec,
                                    "spec file line " +
                                        std::to_string(line_no) + ": " +
-                                       why};
-        };
-
-        // A plain line is the benchmark body verbatim (the original
-        // spec-file format); options start with '-'.
-        if (line[0] != '-') {
-            entry.spec.asmCode = line;
-            entries.push_back(std::move(entry));
-            continue;
+                                       e.what()};
         }
-
-        auto tokens = tokenizeSpecLine(line);
-        if (!tokens) {
-            fail("unterminated quote");
-            entries.push_back(std::move(entry));
-            continue;
-        }
-        for (std::size_t t = 0; t < tokens->size() && !entry.error;
-             ++t) {
-            const std::string &opt = (*tokens)[t];
-            auto value = [&]() -> std::optional<std::string> {
-                if (t + 1 >= tokens->size()) {
-                    fail("missing value for option " + opt);
-                    return std::nullopt;
-                }
-                return (*tokens)[++t];
-            };
-            auto count = [&](const std::string &v)
-                -> std::optional<std::uint64_t> {
-                auto parsed = parseInt(v);
-                if (!parsed || *parsed < 0) {
-                    fail("bad value '" + v + "' for option " + opt);
-                    return std::nullopt;
-                }
-                return static_cast<std::uint64_t>(*parsed);
-            };
-            try {
-                if (opt == "-asm") {
-                    if (auto v = value())
-                        entry.spec.asmCode = *v;
-                } else if (opt == "-asm_init") {
-                    if (auto v = value())
-                        entry.spec.asmInit = *v;
-                } else if (opt == "-unroll_count") {
-                    if (auto v = value())
-                        if (auto n = count(*v))
-                            entry.spec.unrollCount = *n;
-                } else if (opt == "-loop_count") {
-                    if (auto v = value())
-                        if (auto n = count(*v))
-                            entry.spec.loopCount = *n;
-                } else if (opt == "-n_measurements") {
-                    if (auto v = value())
-                        if (auto n = count(*v))
-                            entry.spec.nMeasurements =
-                                static_cast<unsigned>(*n);
-                } else if (opt == "-warm_up_count") {
-                    if (auto v = value())
-                        if (auto n = count(*v))
-                            entry.spec.warmUpCount =
-                                static_cast<unsigned>(*n);
-                } else if (opt == "-agg") {
-                    // parseAggregate fatal()s on unknown names; keep
-                    // that as a per-line error, not a process exit.
-                    if (auto v = value())
-                        entry.spec.agg = parseAggregate(*v);
-                } else if (opt == "-serialize") {
-                    if (auto v = value())
-                        entry.spec.serialize =
-                            core::parseSerializeMode(*v);
-                } else if (opt == "-basic_mode") {
-                    entry.spec.basicMode = true;
-                } else if (opt == "-no_mem") {
-                    entry.spec.noMem = true;
-                } else if (opt == "-aperf_mperf") {
-                    entry.spec.aperfMperf = true;
-                } else if (opt == "-lint_level") {
-                    if (auto v = value()) {
-                        auto level = core::lintLevelFromName(*v);
-                        if (!level) {
-                            fail("bad value '" + *v +
-                                 "' for option -lint_level (use "
-                                 "off, warn, or error)");
-                        } else {
-                            entry.spec.lintLevel = *level;
-                        }
-                    }
-                } else if (opt == "-config") {
-                    // Per-line counter configs (§III-J): one campaign
-                    // can mix event sets. parseFile fatal()s on an
-                    // unreadable path; keep that per-line too.
-                    if (auto v = value())
-                        entry.spec.config =
-                            core::CounterConfig::parseFile(*v);
-                } else {
-                    fail("unknown option '" + opt + "'");
-                }
-            } catch (const FatalError &e) {
-                fail(e.what());
-            }
-        }
-        if (!entry.error && entry.spec.asmCode.empty())
-            fail("option line has no -asm body");
         entries.push_back(std::move(entry));
     }
     return entries;

@@ -45,6 +45,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -299,6 +300,26 @@ struct SpecFileEntry
     std::optional<RunError> error;
 };
 
+/** The value of a count option (-jobs, -unroll_count, ...).
+ *  @throws nb::FatalError unless it is a non-negative integer. */
+std::uint64_t parseCount(const std::string &option,
+                         const std::string &value);
+
+/**
+ * Apply one spec option to @p spec: -asm, -asm_init, -unroll_count,
+ * -loop_count, -n_measurements, -warm_up_count, -agg, -serialize,
+ * -basic_mode, -no_mem, -aperf_mperf, or -lint_level. @p value yields
+ * the option's value (it is called only for options that take one).
+ * This is the one parser behind both the command line and spec-file
+ * lines, so the two surfaces accept the same options with the same
+ * meaning: values are stored as given (-unroll_count 0 stays 0, and
+ * the run reports it as an invalid spec). Returns false, consuming
+ * nothing, if @p option is not a spec option.
+ * @throws nb::FatalError for a missing or malformed value.
+ */
+bool applySpecOption(core::BenchmarkSpec &spec, const std::string &option,
+                     const std::function<std::string()> &value);
+
 /**
  * Parse spec-file text: one benchmark per line, '#' starts a comment,
  * blank lines are skipped. A plain line is an -asm style benchmark
@@ -307,13 +328,11 @@ struct SpecFileEntry
  *
  *     -asm "div RBX" -agg min -unroll_count 10
  *
- * supporting -asm, -asm_init, -unroll_count, -loop_count,
- * -n_measurements, -warm_up_count, -agg, -serialize, -basic_mode,
- * -no_mem, -aperf_mperf, and -config FILE (a per-line counter-config
- * file, so one campaign can mix event sets; an unreadable path
- * reports as that line's error). Each line's spec starts from
- * @p defaults. Never throws for line-level problems: malformed lines
- * come back as entries with error set, in position.
+ * supporting every applySpecOption() option plus -config FILE (a
+ * per-line counter-config file, so one campaign can mix event sets;
+ * an unreadable path reports as that line's error). Each line's spec
+ * starts from @p defaults. Never throws for line-level problems:
+ * malformed lines come back as entries with error set, in position.
  */
 std::vector<SpecFileEntry> parseSpecLines(
     const std::string &text, const core::BenchmarkSpec &defaults);

@@ -7,25 +7,27 @@
  *   nanobench -asm "mov R14, [R14]" -asm_init "mov [R14], R14" \
  *             -config configs/cfg_Skylake.txt -uarch Skylake -kernel
  *
- * Repeating -asm (or -code) queues several benchmarks; they run as one
- * batch against a single cached machine, and a failing spec reports an
- * error without aborting the rest.
+ * Repeating -asm (or -code) queues several benchmarks. Every verb that
+ * runs specs -- the queue, -characterize and -profile -- runs them as
+ * one Engine::runCampaign() call with one CampaignOptions built from
+ * the command line, so each spec starts from a newly set-up machine
+ * whatever the flags, and a failing spec reports an error without
+ * aborting the rest.
  */
 
-#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/analysis.hh"
 #include "analysis/bound.hh"
 #include "common/logging.hh"
-#include "common/strings.hh"
 #include "core/campaign.hh"
 #include "core/engine.hh"
 #include "fault/fault.hh"
@@ -57,7 +59,7 @@ printUsage()
         "counters\n\n"
         "usage: nanobench [options]\n"
         "  -asm <code>          benchmark body (Intel syntax); may be\n"
-        "                       repeated to run a batch on one machine\n"
+        "                       repeated to queue a batch\n"
         "  -asm_init <code>     initialization code (not measured)\n"
         "  -code <file>         benchmark body from an encoded binary\n"
         "  -spec_file <file>    queue one -asm style benchmark per line\n"
@@ -91,14 +93,15 @@ printUsage()
         "                       cycles with a budget-exceeded error;\n"
         "                       0 (the default) means 50000000 cycles,\n"
         "                       so raise it for longer specs; applies\n"
-        "                       to every queued spec, incl. spec-file\n"
-        "                       lines\n"
+        "                       to every spec that runs, incl. spec-\n"
+        "                       file lines and the -characterize /\n"
+        "                       -profile experiments\n"
         "  -max_retries <n>     retry a spec whose failure is marked\n"
         "                       transient up to n times with backoff\n"
-        "                       (default 0; campaign runs only)\n"
-        "  -checkpoint <file>   journal every settled campaign spec to\n"
-        "                       a file; an interrupted campaign (kill,\n"
-        "                       Ctrl-C) can continue with -resume\n"
+        "                       (default 0)\n"
+        "  -checkpoint <file>   journal every settled spec to a file;\n"
+        "                       an interrupted run (kill, Ctrl-C) can\n"
+        "                       continue with -resume\n"
         "  -resume <file>       skip specs already settled in a\n"
         "                       checkpoint journal (same uarch/mode)\n"
         "  -fault <plan>        inject deterministic faults at named\n"
@@ -112,7 +115,7 @@ printUsage()
         "  -config <file>       performance-counter config file\n"
         "  -uarch <name>        microarchitecture (default Skylake)\n"
         "  -kernel | -user      kernel- or user-space version\n"
-        "  -unroll_count <n>    unroll factor (default 100)\n"
+        "  -unroll_count <n>    unroll factor (default 100; at least 1)\n"
         "  -loop_count <n>      loop iterations (default 0 = no loop)\n"
         "  -n_measurements <n>  repetitions (default 10)\n"
         "  -warm_up_count <n>   discarded initial runs (default 2)\n"
@@ -148,8 +151,8 @@ printUsage()
         "                       (campaign.observed.* counters)\n"
         "  -trace <file>        write a Chrome trace-event JSON file\n"
         "                       (load in Perfetto / chrome://tracing)\n"
-        "                       with spans for campaign, per-worker\n"
-        "                       per-spec execution, and batch runs\n"
+        "                       with spans for the campaign and for\n"
+        "                       each spec on its worker\n"
         "  -stats               after running, dump the engine\n"
         "                       telemetry (machine pool, program\n"
         "                       cache, assemble/lint memos) and the\n"
@@ -161,23 +164,133 @@ printUsage()
         "  -list_uarchs         list supported microarchitectures\n";
 }
 
-std::uint64_t
-parseCount(const std::string &option, const std::string &value)
-{
-    auto parsed = nb::parseInt(value);
-    if (!parsed || *parsed < 0)
-        nb::fatal("bad value '", value, "' for option ", option);
-    return static_cast<std::uint64_t>(*parsed);
-}
-
 std::string
-readBinaryFile(const std::string &path)
+readFile(const std::string &path, const char *what)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in)
-        nb::fatal("cannot open code file '", path, "'");
+        nb::fatal("cannot open ", what, " file '", path, "'");
     return {std::istreambuf_iterator<char>(in),
             std::istreambuf_iterator<char>()};
+}
+
+/** @p doc in @p format: results, lint and bound reports, and tables
+ *  all offer the three renderings. */
+template <typename Doc>
+std::string
+render(const Doc &doc, OutputFormat format)
+{
+    switch (format) {
+      case OutputFormat::Json:
+        return doc.toJson();
+      case OutputFormat::Csv:
+        return doc.toCsv();
+      case OutputFormat::Text:
+        break;
+    }
+    return doc.format();
+}
+
+/** @p doc as a file artifact: CSV under -csv, JSON otherwise. */
+template <typename Doc>
+std::string
+serialize(const Doc &doc, OutputFormat format)
+{
+    return format == OutputFormat::Csv ? doc.toCsv() : doc.toJson();
+}
+
+/** Open an output file; an unwritable path fails here, before any
+ *  work, not after. */
+std::ofstream
+openOutput(const std::string &path, const char *what)
+{
+    std::ofstream out(path);
+    if (!out)
+        nb::fatal("cannot write ", what, " file '", path, "'");
+    return out;
+}
+
+/** What one queued spec prints: its document, or the error printed
+ *  in its place. */
+struct SpecDocument
+{
+    std::optional<nb::RunError> error;
+    /** Heading of the text document in a batch ("## <title>"). */
+    std::string title;
+    std::string body;
+};
+
+/**
+ * The per-spec output loop of the run, lint, explain and observe
+ * verbs. -json prints ONE parseable document: a bare object (or
+ * {"error": ...}) for a single spec, an array with one entry per spec
+ * (error entries in position) for a batch. -csv prints one standalone
+ * document per spec, separated by blank lines, each preceded by a
+ * "# benchmark i/N" comment in a batch. Each failure is also reported
+ * on stderr as "benchmark i/N failed (<code>): <message>".
+ *
+ * Slot i prints @p preset[i] if set (a malformed spec-file line), else
+ * @p document(i), called in slot order. A FatalError out of document()
+ * is the spec's assembly error. Returns true if any spec failed.
+ */
+bool
+printDocuments(OutputFormat format,
+               const std::vector<std::optional<nb::RunError>> &preset,
+               const std::function<SpecDocument(std::size_t)> &document)
+{
+    using nb::RunError;
+    const std::size_t n = preset.size();
+    const bool batch = n > 1;
+    const bool json_array = format == OutputFormat::Json && batch;
+    if (json_array)
+        std::cout << "[\n";
+    bool any_failed = false;
+    for (std::size_t i = 0; i < n; ++i) {
+        const bool last = i + 1 == n;
+        if (batch && format == OutputFormat::Csv)
+            std::cout << "# benchmark " << i + 1 << "/" << n << "\n";
+        SpecDocument doc;
+        if (preset[i]) {
+            doc.error = preset[i];
+        } else {
+            // Print the failure once, below, not as fatal()'s line.
+            nb::ScopedFatalMessageSuppression suppress;
+            try {
+                doc = document(i);
+            } catch (const nb::FatalError &e) {
+                doc.error =
+                    RunError{RunError::Code::AssemblyError, e.what()};
+            }
+        }
+        if (doc.error) {
+            any_failed = true;
+            const char *code = nb::runErrorCodeName(doc.error->code);
+            std::cerr << "benchmark " << i + 1 << "/" << n << " failed ("
+                      << code << "): " << doc.error->message << "\n";
+            if (format == OutputFormat::Json) {
+                std::cout << "{\"error\": {\"code\": \"" << code
+                          << "\", \"message\": \""
+                          << nb::core::jsonEscape(doc.error->message)
+                          << "\"}}"
+                          << (json_array && !last ? "," : "") << "\n";
+            }
+            if (format == OutputFormat::Csv && !last)
+                std::cout << "\n";
+            continue;
+        }
+        if (batch && format == OutputFormat::Text)
+            std::cout << "## " << doc.title << "\n";
+        std::cout << doc.body;
+        if (format == OutputFormat::Json) {
+            if (json_array && !last)
+                std::cout << ",";
+        } else if (batch && !last) {
+            std::cout << "\n";
+        }
+    }
+    if (json_array)
+        std::cout << "]\n";
+    return any_failed;
 }
 
 } // namespace
@@ -188,28 +301,26 @@ main(int argc, char **argv)
     using namespace nb;
     using namespace nb::core;
 
-    SessionOptions session_opt;
-    // Shared parameters, applied to every queued benchmark. The
-    // defaults are the BenchmarkSpec defaults advertised above.
+    // Every verb that runs specs runs them as one campaign with these
+    // options; the worker count defaults to 1 on the command line.
+    CampaignOptions campaign;
+    campaign.jobs = 1;
+    SessionOptions &session_opt = campaign.session;
+    // Spec options, applied to every queued benchmark. The defaults
+    // are the BenchmarkSpec defaults advertised above.
     BenchmarkSpec shared;
-    // One entry per -asm/-code occurrence, in command-line order.
+    // One body per -asm/-code occurrence, in command-line order.
     std::vector<BenchmarkSpec> queued;
     OutputFormat format = OutputFormat::Text;
-    unsigned jobs = 1;
-    bool dedup = true;
     bool show_progress = false;
     bool characterize = false;
     bool lint = false;
     bool explain = false;
-    bool observe = false;
     bool show_stats = false;
     std::string trace_path;
     std::string spec_file;
     std::string report_path;
     std::string fault_spec;
-    std::string checkpoint_path;
-    std::string resume_path;
-    unsigned max_retries = 0;
     std::string table_path;
     std::string profile_path;
     std::string diff_path_a;
@@ -225,14 +336,15 @@ main(int argc, char **argv)
                     fatal("missing value for option ", arg);
                 return argv[++i];
             };
-            if (arg == "-asm") {
-                BenchmarkSpec spec;
-                spec.asmCode = next();
-                queued.push_back(spec);
-            } else if (arg == "-asm_init") {
-                shared.asmInit = next();
+            if (applySpecOption(shared, arg, next)) {
+                // Each -asm queues one benchmark; the other spec
+                // options apply to all of them.
+                if (arg == "-asm") {
+                    queued.emplace_back();
+                    queued.back().asmCode = std::exchange(shared.asmCode, {});
+                }
             } else if (arg == "-code") {
-                std::string blob = readBinaryFile(next());
+                std::string blob = readFile(next(), "code");
                 BenchmarkSpec spec;
                 spec.code = x86::decode(std::vector<std::uint8_t>(
                     blob.begin(), blob.end()));
@@ -240,14 +352,10 @@ main(int argc, char **argv)
             } else if (arg == "-spec_file") {
                 spec_file = next();
             } else if (arg == "-jobs") {
-                jobs = static_cast<unsigned>(parseCount(arg, next()));
-                // 0 means one worker per hardware thread; resolve (and
-                // clamp to >= 1) here so an unclamped zero never
-                // reaches the worker setup.
-                if (jobs == 0) {
-                    jobs = std::max(
-                        1u, std::thread::hardware_concurrency());
-                }
+                // 0 = one worker per hardware thread
+                // (CampaignOptions::resolvedJobs).
+                campaign.jobs =
+                    static_cast<unsigned>(parseCount(arg, next()));
             } else if (arg == "-characterize") {
                 characterize = true;
             } else if (arg == "-table") {
@@ -261,18 +369,18 @@ main(int argc, char **argv)
                 profile_diff_a = next();
                 profile_diff_b = next();
             } else if (arg == "-no_dedup") {
-                dedup = false;
+                campaign.dedup = false;
             } else if (arg == "-report") {
                 report_path = next();
             } else if (arg == "-cycle_budget") {
-                shared.cycleBudget = parseCount(arg, next());
+                campaign.specBudget = parseCount(arg, next());
             } else if (arg == "-max_retries") {
-                max_retries =
+                campaign.maxRetries =
                     static_cast<unsigned>(parseCount(arg, next()));
             } else if (arg == "-checkpoint") {
-                checkpoint_path = next();
+                campaign.checkpoint = next();
             } else if (arg == "-resume") {
-                resume_path = next();
+                campaign.resume = next();
             } else if (arg == "-fault") {
                 fault_spec = next();
             } else if (arg == "-progress") {
@@ -285,46 +393,16 @@ main(int argc, char **argv)
                 session_opt.mode = Mode::Kernel;
             } else if (arg == "-user") {
                 session_opt.mode = Mode::User;
-            } else if (arg == "-unroll_count") {
-                shared.unrollCount =
-                    std::max<std::uint64_t>(1, parseCount(arg, next()));
-            } else if (arg == "-loop_count") {
-                shared.loopCount = parseCount(arg, next());
-            } else if (arg == "-n_measurements") {
-                shared.nMeasurements =
-                    static_cast<unsigned>(parseCount(arg, next()));
-            } else if (arg == "-warm_up_count") {
-                shared.warmUpCount =
-                    static_cast<unsigned>(parseCount(arg, next()));
-            } else if (arg == "-agg") {
-                shared.agg = parseAggregate(next());
-            } else if (arg == "-basic_mode") {
-                shared.basicMode = true;
-            } else if (arg == "-no_mem") {
-                shared.noMem = true;
-            } else if (arg == "-serialize") {
-                shared.serialize = parseSerializeMode(next());
-            } else if (arg == "-aperf_mperf") {
-                shared.aperfMperf = true;
             } else if (arg == "-lint") {
                 lint = true;
             } else if (arg == "-explain") {
                 explain = true;
             } else if (arg == "-observe") {
-                observe = true;
+                campaign.observe = true;
             } else if (arg == "-trace") {
                 trace_path = next();
             } else if (arg == "-stats") {
                 show_stats = true;
-            } else if (arg == "-lint_level") {
-                std::string value = next();
-                auto level = lintLevelFromName(value);
-                if (!level) {
-                    fatal("bad value '", value,
-                          "' for option -lint_level (use off, warn, "
-                          "or error)");
-                }
-                shared.lintLevel = *level;
             } else if (arg == "-seed") {
                 session_opt.seed = parseCount(arg, next());
             } else if (arg == "-json") {
@@ -360,37 +438,12 @@ main(int argc, char **argv)
         // benchmarks write it out right before they return.
         obs::Tracer tracer;
         if (!trace_path.empty()) {
-            // Fail an unwritable path before any measurement work.
-            std::ofstream probe(trace_path);
-            if (!probe)
-                fatal("cannot write trace file '", trace_path, "'");
+            openOutput(trace_path, "trace");
             tracer.enable();
         }
         auto write_trace = [&]() {
             if (tracer.enabled())
                 tracer.writeFile(trace_path);
-        };
-        // -stats: engine telemetry (as before), now mirrored into the
-        // process metrics registry so one machine-readable dump also
-        // covers the runner phase histograms and observed counters.
-        auto print_stats = [&](Engine &engine) {
-            if (!show_stats)
-                return;
-            EngineTelemetry t = engine.telemetry();
-            obs::publishEngineTelemetry(t, obs::Registry::process());
-            obs::RegistrySnapshot snap =
-                obs::Registry::process().snapshot();
-            switch (format) {
-              case OutputFormat::Text:
-                std::cerr << t.format() << snap.format();
-                break;
-              case OutputFormat::Json:
-                std::cerr << snap.toJson();
-                break;
-              case OutputFormat::Csv:
-                std::cerr << snap.toCsv();
-                break;
-            }
         };
 
         // ------------- machine-profile verbs (§VI) --------------
@@ -407,53 +460,6 @@ main(int argc, char **argv)
             std::cout << diff.format();
             std::cout << diff.entries.size() << " difference(s)\n";
             return 1;
-        }
-
-        if (!profile_path.empty()) {
-            // Open the output file up front: an unwritable path must
-            // fail before the measurement campaign, not after.
-            std::ofstream profile_out(profile_path);
-            if (!profile_out)
-                fatal("cannot write profile file '", profile_path, "'");
-            std::ofstream report_out;
-            if (!report_path.empty() && report_path != "-") {
-                report_out.open(report_path);
-                if (!report_out)
-                    fatal("cannot write report file '", report_path,
-                          "'");
-            }
-            profile::ProfileOptions profile_opt;
-            profile_opt.session = session_opt;
-            profile_opt.jobs = jobs;
-            profile_opt.dedup = dedup;
-            profile_opt.trace = &tracer;
-            profile_opt.observe = observe;
-            if (show_progress) {
-                profile_opt.progress = [](std::size_t done,
-                                          std::size_t total) {
-                    std::cerr << "\rprofile: " << done << "/" << total
-                              << (done == total ? "\n" : "");
-                };
-            }
-            Engine engine;
-            auto build = profile::buildMachineProfile(engine,
-                                                      profile_opt);
-            std::cout << build.profile.format();
-            profile_out << (format == OutputFormat::Csv
-                                ? build.profile.toCsv()
-                                : build.profile.toJson());
-            if (!report_path.empty()) {
-                std::string text = format == OutputFormat::Csv
-                                       ? build.report.toCsv()
-                                       : build.report.toJson();
-                if (report_path == "-")
-                    std::cerr << text;
-                else
-                    report_out << text;
-            }
-            write_trace();
-            print_stats(engine);
-            return build.profile.complete() ? 0 : 1;
         }
 
         // ------------- instruction-table verbs (§V) -------------
@@ -473,384 +479,228 @@ main(int argc, char **argv)
         }
 
         if (!table_path.empty() && !characterize) {
-            auto table = uops::InstructionTable::load(table_path);
-            switch (format) {
-              case OutputFormat::Text:
-                std::cout << table.format();
-                break;
-              case OutputFormat::Json:
-                std::cout << table.toJson();
-                break;
-              case OutputFormat::Csv:
-                std::cout << table.toCsv();
-                break;
-            }
+            std::cout << render(uops::InstructionTable::load(table_path),
+                                format);
             return 0;
-        }
-
-        if (characterize) {
-            // Open the output files up front: an unwritable path must
-            // fail before the full-catalog campaign, not after.
-            std::ofstream table_out;
-            if (!table_path.empty()) {
-                table_out.open(table_path);
-                if (!table_out)
-                    fatal("cannot write table file '", table_path, "'");
-            }
-            std::ofstream report_out;
-            if (!report_path.empty() && report_path != "-") {
-                report_out.open(report_path);
-                if (!report_out)
-                    fatal("cannot write report file '", report_path,
-                          "'");
-            }
-            uops::TableBuildOptions table_opt;
-            table_opt.session = session_opt;
-            table_opt.jobs = jobs;
-            table_opt.dedup = dedup;
-            table_opt.trace = &tracer;
-            table_opt.observe = observe;
-            if (show_progress) {
-                table_opt.progress = [](std::size_t done,
-                                        std::size_t total) {
-                    std::cerr << "\rcharacterize: " << done << "/"
-                              << total << (done == total ? "\n" : "");
-                };
-            }
-            Engine engine;
-            auto build = uops::buildInstructionTable(engine, table_opt);
-            switch (format) {
-              case OutputFormat::Text:
-                std::cout << build.table.format();
-                break;
-              case OutputFormat::Json:
-                std::cout << build.table.toJson();
-                break;
-              case OutputFormat::Csv:
-                std::cout << build.table.toCsv();
-                break;
-            }
-            if (!table_path.empty()) {
-                table_out << (format == OutputFormat::Csv
-                                  ? build.table.toCsv()
-                                  : build.table.toJson());
-            }
-            if (!report_path.empty()) {
-                std::string text = format == OutputFormat::Csv
-                                       ? build.report.toCsv()
-                                       : build.report.toJson();
-                if (report_path == "-")
-                    std::cerr << text;
-                else
-                    report_out << text;
-            }
-            write_trace();
-            print_stats(engine);
-            return build.table.errorCount() != 0 ? 1 : 0;
         }
 
         // ------------------- benchmark queue --------------------
 
-        // Merge the shared parameters into each explicitly queued
-        // body; spec-file entries below start from the same defaults
-        // and may override them per line.
-        for (auto &spec : queued) {
-            auto body = std::move(spec.asmCode);
-            auto code = std::move(spec.code);
-            spec = shared;
-            spec.asmCode = std::move(body);
-            spec.code = std::move(code);
-        }
-
         // One slot per benchmark, in order. Slots from malformed
         // spec-file lines carry a preset error (reported in position,
         // with the line number) instead of anything to run.
-        std::vector<std::optional<RunError>> preset(queued.size());
-        if (!spec_file.empty()) {
-            std::ifstream in(spec_file);
-            if (!in)
-                fatal("cannot open spec file '", spec_file, "'");
-            std::string text{std::istreambuf_iterator<char>(in),
-                             std::istreambuf_iterator<char>()};
-            for (auto &entry : parseSpecLines(text, shared)) {
-                preset.push_back(entry.error);
-                queued.push_back(std::move(entry.spec));
+        std::vector<std::optional<RunError>> preset;
+        const bool builds = characterize || !profile_path.empty();
+        if (!builds) {
+            // Merge the shared parameters into each explicitly queued
+            // body; spec-file entries start from the same defaults and
+            // may override them per line.
+            for (auto &spec : queued) {
+                auto body = std::move(spec.asmCode);
+                auto code = std::move(spec.code);
+                spec = shared;
+                spec.asmCode = std::move(body);
+                spec.code = std::move(code);
+            }
+            preset.resize(queued.size());
+            if (!spec_file.empty()) {
+                for (auto &entry :
+                     parseSpecLines(readFile(spec_file, "spec"), shared)) {
+                    preset.push_back(entry.error);
+                    queued.push_back(std::move(entry.spec));
+                }
+            }
+            if (queued.empty()) {
+                printUsage();
+                return 1;
             }
         }
 
-        if (queued.empty()) {
-            printUsage();
-            return 1;
-        }
+        // ------------- static verbs: lint, explain --------------
 
-        // ----------------------- lint verb ----------------------
-
-        if (lint) {
+        if (lint && !builds) {
             const auto &ua = uarch::getMicroArch(session_opt.uarch);
             analysis::Context ctx;
             ctx.mode = session_opt.mode;
             bool any_error = false;
-            bool json_array =
-                format == OutputFormat::Json && queued.size() > 1;
-            if (json_array)
-                std::cout << "[\n";
-            for (std::size_t i = 0; i < queued.size(); ++i) {
-                bool last = i + 1 == queued.size();
-                if (queued.size() > 1 && format == OutputFormat::Csv) {
-                    std::cout << "# benchmark " << i + 1 << "/"
-                              << queued.size() << "\n";
-                }
-                std::optional<RunError> failure = preset[i];
-                analysis::Report report;
-                if (!failure) {
-                    try {
-                        // Assembly errors become per-spec failures,
-                        // like the run path; print them ourselves
-                        // instead of fatal()'s courtesy line.
-                        ScopedFatalMessageSuppression suppress;
-                        report = analysis::analyzeSpec(ua, queued[i],
-                                                       ctx);
-                    } catch (const FatalError &e) {
-                        failure = RunError{
-                            RunError::Code::AssemblyError, e.what()};
-                    }
-                }
-                if (failure) {
-                    any_error = true;
-                    std::cerr << "spec " << i + 1 << "/"
-                              << queued.size() << " failed ("
-                              << runErrorCodeName(failure->code)
-                              << "): " << failure->message << "\n";
-                    if (format == OutputFormat::Json) {
-                        std::cout << "{\"error\": {\"code\": \""
-                                  << runErrorCodeName(failure->code)
-                                  << "\", \"message\": \""
-                                  << jsonEscape(failure->message)
-                                  << "\"}}"
-                                  << (json_array && !last ? "," : "")
-                                  << "\n";
-                    }
-                    if (format == OutputFormat::Csv && !last)
-                        std::cout << "\n";
-                    continue;
-                }
-                if (report.count(analysis::Severity::Error) > 0)
-                    any_error = true;
-                switch (format) {
-                  case OutputFormat::Text:
-                    if (queued.size() > 1)
-                        std::cout << "## " << queued[i].summary()
-                                  << "\n";
-                    std::cout << (report.empty()
-                                      ? std::string(
-                                            "clean (no diagnostics)\n")
-                                      : report.format());
-                    break;
-                  case OutputFormat::Json:
-                    std::cout << report.toJson();
-                    if (json_array && !last)
-                        std::cout << ",";
-                    break;
-                  case OutputFormat::Csv:
-                    std::cout << report.toCsv();
-                    break;
-                }
-                if (format != OutputFormat::Json &&
-                    queued.size() > 1 && !last)
-                    std::cout << "\n";
-            }
-            if (json_array)
-                std::cout << "]\n";
-            return any_error ? 1 : 0;
+            bool failed = printDocuments(format, preset, [&](std::size_t i) {
+                auto report = analysis::analyzeSpec(ua, queued[i], ctx);
+                any_error |= report.count(analysis::Severity::Error) > 0;
+                return SpecDocument{
+                    std::nullopt, queued[i].summary(),
+                    format == OutputFormat::Text && report.empty()
+                        ? "clean (no diagnostics)\n"
+                        : render(report, format)};
+            });
+            return failed || any_error ? 1 : 0;
         }
 
-        // --------------------- explain verb ---------------------
-
-        if (explain) {
+        if (explain && !builds) {
             const auto &ua = uarch::getMicroArch(session_opt.uarch);
-            bool any_error = false;
-            bool json_array =
-                format == OutputFormat::Json && queued.size() > 1;
-            if (json_array)
-                std::cout << "[\n";
-            for (std::size_t i = 0; i < queued.size(); ++i) {
-                bool last = i + 1 == queued.size();
-                if (queued.size() > 1 && format == OutputFormat::Csv) {
-                    std::cout << "# benchmark " << i + 1 << "/"
-                              << queued.size() << "\n";
-                }
-                std::optional<RunError> failure = preset[i];
-                analysis::BoundReport report;
-                if (!failure) {
-                    try {
-                        // Assembly and decode errors become per-spec
-                        // failures, like the lint verb.
-                        ScopedFatalMessageSuppression suppress;
-                        report = analysis::analyzeBounds(ua,
-                                                         queued[i]);
-                    } catch (const FatalError &e) {
-                        failure = RunError{
-                            RunError::Code::AssemblyError, e.what()};
-                    }
-                }
-                if (failure) {
-                    any_error = true;
-                    std::cerr << "spec " << i + 1 << "/"
-                              << queued.size() << " failed ("
-                              << runErrorCodeName(failure->code)
-                              << "): " << failure->message << "\n";
-                    if (format == OutputFormat::Json) {
-                        std::cout << "{\"error\": {\"code\": \""
-                                  << runErrorCodeName(failure->code)
-                                  << "\", \"message\": \""
-                                  << jsonEscape(failure->message)
-                                  << "\"}}"
-                                  << (json_array && !last ? "," : "")
-                                  << "\n";
-                    }
-                    if (format == OutputFormat::Csv && !last)
-                        std::cout << "\n";
-                    continue;
-                }
-                switch (format) {
-                  case OutputFormat::Text:
-                    if (queued.size() > 1)
-                        std::cout << "## " << queued[i].summary()
-                                  << "\n";
-                    std::cout << report.format();
-                    break;
-                  case OutputFormat::Json:
-                    std::cout << report.toJson();
-                    if (json_array && !last)
-                        std::cout << ",";
-                    break;
-                  case OutputFormat::Csv:
-                    std::cout << report.toCsv();
-                    break;
-                }
-                if (format != OutputFormat::Json &&
-                    queued.size() > 1 && !last)
-                    std::cout << "\n";
-            }
-            if (json_array)
-                std::cout << "]\n";
-            return any_error ? 1 : 0;
+            bool failed = printDocuments(format, preset, [&](std::size_t i) {
+                return SpecDocument{
+                    std::nullopt, queued[i].summary(),
+                    render(analysis::analyzeBounds(ua, queued[i]), format)};
+            });
+            return failed ? 1 : 0;
         }
 
         // --------------------- observe verb ---------------------
 
-        if (observe) {
+        if (campaign.observe && !builds) {
             const auto &ua = uarch::getMicroArch(session_opt.uarch);
-            // Resolve the session-level counter config into each
-            // spec, like Session::run would -- observeSpec runs on
-            // private machines and bypasses the session layer.
-            if (!session_opt.configFile.empty()) {
-                CounterConfig session_config =
+            // observeSpec runs on private machines, so resolve the
+            // session's counter config and the -cycle_budget into each
+            // spec here, as a campaign worker would.
+            CounterConfig session_config;
+            if (!session_opt.configFile.empty())
+                session_config =
                     CounterConfig::parseFile(session_opt.configFile);
-                for (auto &spec : queued) {
-                    if (spec.config.empty())
-                        spec.config = session_config;
-                }
-            }
-            bool any_error = false;
-            bool json_array =
-                format == OutputFormat::Json && queued.size() > 1;
-            // The per-spec JSON documents nest the two reports under
-            // "predicted" / "observed"; both toJson() outputs end in
-            // a newline that must not land inside the wrapper.
+            // The JSON document nests the two reports under
+            // "predicted" / "observed"; both toJson() outputs end in a
+            // newline that must not land inside the wrapper.
             auto trimmed = [](std::string text) {
                 while (!text.empty() &&
                        (text.back() == '\n' || text.back() == ' '))
                     text.pop_back();
                 return text;
             };
-            if (json_array)
-                std::cout << "[\n";
-            for (std::size_t i = 0; i < queued.size(); ++i) {
-                bool last = i + 1 == queued.size();
-                if (queued.size() > 1 && format == OutputFormat::Csv) {
-                    std::cout << "# benchmark " << i + 1 << "/"
-                              << queued.size() << "\n";
-                }
-                std::optional<RunError> failure = preset[i];
-                analysis::BoundReport bounds;
-                obs::ObservedProfile profile;
-                if (!failure) {
-                    // Assembly/decode errors from the static pass and
-                    // execution errors from the observed run become
-                    // per-spec failures, like the run path.
-                    ScopedFatalMessageSuppression suppress;
+            tracer.nameLane(0, "observe");
+            bool failed = printDocuments(
+                format, preset, [&](std::size_t i) -> SpecDocument {
+                    BenchmarkSpec spec = queued[i];
+                    if (spec.config.empty())
+                        spec.config = session_config;
+                    if (spec.cycleBudget == 0)
+                        spec.cycleBudget = campaign.specBudget;
+                    auto bounds = analysis::analyzeBounds(ua, spec);
+                    std::string label = spec.summary();
+                    obs::ObservedProfile profile;
+                    tracer.begin(0, label);
                     try {
-                        bounds = analysis::analyzeBounds(ua, queued[i]);
-                    } catch (const FatalError &e) {
-                        failure = RunError{
-                            RunError::Code::AssemblyError, e.what()};
-                    }
-                }
-                if (!failure) {
-                    ScopedFatalMessageSuppression suppress;
-                    std::string label = queued[i].summary();
-                    try {
-                        tracer.nameLane(0, "observe");
-                        tracer.begin(0, label);
-                        profile = obs::observeSpec(ua, queued[i],
+                        profile = obs::observeSpec(ua, spec,
                                                    session_opt.mode,
                                                    session_opt.seed);
-                        tracer.end(0, label);
                     } catch (const FatalError &e) {
                         tracer.end(0, label);
-                        failure = RunError{
-                            RunError::Code::ExecutionError, e.what()};
+                        return {RunError{RunError::Code::ExecutionError,
+                                         e.what()},
+                                {},
+                                {}};
                     }
-                }
-                if (failure) {
-                    any_error = true;
-                    std::cerr << "spec " << i + 1 << "/"
-                              << queued.size() << " failed ("
-                              << runErrorCodeName(failure->code)
-                              << "): " << failure->message << "\n";
-                    if (format == OutputFormat::Json) {
-                        std::cout << "{\"error\": {\"code\": \""
-                                  << runErrorCodeName(failure->code)
-                                  << "\", \"message\": \""
-                                  << jsonEscape(failure->message)
-                                  << "\"}}"
-                                  << (json_array && !last ? "," : "")
-                                  << "\n";
+                    tracer.end(0, label);
+                    switch (format) {
+                      case OutputFormat::Json:
+                        return {std::nullopt, label,
+                                "{\"predicted\": " +
+                                    trimmed(bounds.toJson()) +
+                                    ",\n \"observed\": " +
+                                    trimmed(profile.toJson()) + "}\n"};
+                      case OutputFormat::Csv:
+                        return {std::nullopt, label,
+                                "# predicted\n" + bounds.toCsv() +
+                                    "# observed\n" + profile.toCsv()};
+                      case OutputFormat::Text:
+                        break;
                     }
-                    if (format == OutputFormat::Csv && !last)
-                        std::cout << "\n";
-                    continue;
-                }
-                switch (format) {
-                  case OutputFormat::Text:
-                    if (queued.size() > 1)
-                        std::cout << "## " << queued[i].summary()
-                                  << "\n";
-                    std::cout << obs::formatPredictedVsObserved(
-                        bounds, profile);
-                    break;
-                  case OutputFormat::Json:
-                    std::cout << "{\"predicted\": "
-                              << trimmed(bounds.toJson())
-                              << ",\n \"observed\": "
-                              << trimmed(profile.toJson()) << "}"
-                              << (json_array && !last ? "," : "")
-                              << "\n";
-                    break;
-                  case OutputFormat::Csv:
-                    std::cout << "# predicted\n" << bounds.toCsv()
-                              << "# observed\n" << profile.toCsv();
-                    break;
-                }
-                if (format != OutputFormat::Json &&
-                    queued.size() > 1 && !last)
-                    std::cout << "\n";
-            }
-            if (json_array)
-                std::cout << "]\n";
+                    return {std::nullopt, label,
+                            obs::formatPredictedVsObserved(bounds,
+                                                           profile)};
+                });
             write_trace();
-            return any_error ? 1 : 0;
+            return failed ? 1 : 0;
+        }
+
+        // ------- campaign verbs: run, -characterize, -profile -------
+
+        std::ofstream report_out;
+        if (!report_path.empty() && report_path != "-")
+            report_out = openOutput(report_path, "report");
+        campaign.trace = &tracer;
+        // Ctrl-C cancels cooperatively: in-flight specs finish, the
+        // checkpoint flushes, and a partial report (with the
+        // unexecuted specs settled as "cancelled" errors) is still
+        // written.
+        campaign.cancel = std::make_shared<CancelToken>();
+        installSigintCancel(campaign.cancel);
+        struct SigintScope
+        {
+            ~SigintScope() { clearSigintCancel(); }
+        } sigint_scope;
+        if (show_progress) {
+            campaign.progress = [](const CampaignProgress &event) {
+                // Settle events keep the coarse counter; start events
+                // name the spec in flight so a stalled campaign is
+                // attributable.
+                std::cerr << "\rcampaign: " << event.done << "/"
+                          << event.total;
+                if (event.starting)
+                    std::cerr << " [" << event.specLabel << "]";
+                else if (event.done == event.total)
+                    std::cerr << "\n";
+            };
+        }
+        Engine engine;
+        // What every campaign verb does last: the cancellation notice,
+        // the report, the trace and -stats. Returns true if the
+        // campaign was cancelled (exit 130 = 128 + SIGINT).
+        auto finish = [&](const CampaignReport &report) {
+            if (report.cancelled) {
+                std::size_t unrun =
+                    report.errorHistogram[static_cast<unsigned>(
+                        RunError::Code::Cancelled)];
+                std::cerr << "campaign cancelled: "
+                          << report.totalSpecs - unrun << "/"
+                          << report.totalSpecs << " specs settled"
+                          << (campaign.checkpoint.empty()
+                                  ? ""
+                                  : " (resume with -resume " +
+                                        campaign.checkpoint + ")")
+                          << "\n";
+            }
+            if (report_path == "-")
+                std::cerr << serialize(report, format);
+            else if (!report_path.empty())
+                report_out << serialize(report, format);
+            write_trace();
+            if (show_stats) {
+                // Engine telemetry, mirrored into the process metrics
+                // registry so one machine-readable dump also covers
+                // the runner phase histograms and observed counters.
+                EngineTelemetry t = engine.telemetry();
+                obs::publishEngineTelemetry(t, obs::Registry::process());
+                obs::RegistrySnapshot snap =
+                    obs::Registry::process().snapshot();
+                if (format == OutputFormat::Text)
+                    std::cerr << t.format();
+                std::cerr << render(snap, format);
+            }
+            return report.cancelled;
+        };
+
+        if (!profile_path.empty()) {
+            std::ofstream profile_out = openOutput(profile_path, "profile");
+            profile::ProfileOptions profile_opt;
+            static_cast<CampaignOptions &>(profile_opt) = campaign;
+            auto build = profile::buildMachineProfile(engine, profile_opt);
+            std::cout << build.profile.format();
+            profile_out << serialize(build.profile, format);
+            if (finish(build.report))
+                return 130;
+            return build.profile.complete() ? 0 : 1;
+        }
+
+        if (characterize) {
+            std::ofstream table_out;
+            if (!table_path.empty())
+                table_out = openOutput(table_path, "table");
+            auto build = uops::buildInstructionTable(engine, campaign);
+            std::cout << render(build.table, format);
+            if (!table_path.empty())
+                table_out << serialize(build.table, format);
+            if (finish(build.report))
+                return 130;
+            return build.table.errorCount() != 0 ? 1 : 0;
         }
 
         std::vector<BenchmarkSpec> runnable;
@@ -859,184 +709,19 @@ main(int argc, char **argv)
             if (!preset[i])
                 runnable.push_back(queued[i]);
         }
-
-        Engine engine;
-        std::vector<RunOutcome> ran;
-        // The single-session batch path stays the default; campaigns
-        // (worker pool, dedup cache, report) kick in as soon as any
-        // campaign option is used.
-        bool campaign_mode = jobs != 1 || !dedup || show_progress ||
-                             !spec_file.empty() || !report_path.empty() ||
-                             max_retries != 0 || !checkpoint_path.empty() ||
-                             !resume_path.empty();
-        bool was_cancelled = false;
-        if (campaign_mode) {
-            // Open the report file up front: an unwritable path must
-            // fail before hours of campaign work, not after.
-            std::ofstream report_out;
-            if (!report_path.empty() && report_path != "-") {
-                report_out.open(report_path);
-                if (!report_out)
-                    fatal("cannot write report file '", report_path,
-                          "'");
-            }
-            CampaignOptions campaign_opt;
-            campaign_opt.jobs = jobs;
-            campaign_opt.dedup = dedup;
-            campaign_opt.session = session_opt;
-            campaign_opt.trace = &tracer;
-            campaign_opt.maxRetries = max_retries;
-            campaign_opt.checkpoint = checkpoint_path;
-            campaign_opt.resume = resume_path;
-            // Ctrl-C cancels cooperatively: in-flight specs finish,
-            // the checkpoint flushes, and a partial report (with the
-            // unexecuted specs settled as "cancelled" errors) is
-            // still written below.
-            campaign_opt.cancel = std::make_shared<CancelToken>();
-            installSigintCancel(campaign_opt.cancel);
-            struct SigintScope
-            {
-                ~SigintScope() { clearSigintCancel(); }
-            } sigint_scope;
-            if (show_progress) {
-                campaign_opt.progress =
-                    [](const CampaignProgress &event) {
-                        // Settle events keep the coarse counter;
-                        // start events name the spec in flight so a
-                        // stalled campaign is attributable.
-                        if (event.starting) {
-                            std::cerr << "\rcampaign: " << event.done
-                                      << "/" << event.total << " ["
-                                      << event.specLabel << "]";
-                            return;
-                        }
-                        std::cerr << "\rcampaign: " << event.done << "/"
-                                  << event.total
-                                  << (event.done == event.total ? "\n"
-                                                                : "");
-                    };
-            }
-            auto campaign = engine.runCampaign(runnable, campaign_opt);
-            ran = std::move(campaign.outcomes);
-            was_cancelled = campaign.report.cancelled;
-            if (was_cancelled) {
-                std::size_t unrun =
-                    campaign.report.errorHistogram[static_cast<
-                        unsigned>(RunError::Code::Cancelled)];
-                std::cerr << "campaign cancelled: "
-                          << campaign.report.totalSpecs - unrun << "/"
-                          << campaign.report.totalSpecs
-                          << " specs settled"
-                          << (checkpoint_path.empty()
-                                  ? ""
-                                  : " (resume with -resume " +
-                                        checkpoint_path + ")")
-                          << "\n";
-            }
-            if (!report_path.empty()) {
-                std::string text = format == OutputFormat::Csv
-                                       ? campaign.report.toCsv()
-                                       : campaign.report.toJson();
-                if (report_path == "-")
-                    std::cerr << text;
-                else
-                    report_out << text;
-            }
-        } else if (tracer.enabled()) {
-            // Single-session batch with tracing: one lane, one span
-            // per spec (runBatch would hide the per-spec boundaries).
-            Session session = engine.session(session_opt);
-            tracer.nameLane(0, "session");
-            ran.reserve(runnable.size());
-            for (const auto &spec : runnable) {
-                std::string label = spec.summary();
-                tracer.begin(0, label);
-                ran.push_back(session.run(spec));
-                tracer.end(0, label);
-            }
-        } else {
-            Session session = engine.session(session_opt);
-            ran = session.runBatch(runnable);
-        }
-
-        // Fold the executed outcomes back into slot order around the
-        // preset spec-file parse errors.
-        std::vector<RunOutcome> outcomes;
-        outcomes.reserve(queued.size());
+        CampaignResult ran = engine.runCampaign(runnable, campaign);
+        // printDocuments asks for the runnable slots in order.
         std::size_t next_ran = 0;
-        for (std::size_t i = 0; i < queued.size(); ++i) {
-            if (preset[i])
-                outcomes.push_back(RunOutcome(*preset[i]));
-            else
-                outcomes.push_back(std::move(ran[next_ran++]));
-        }
-
-        // -json always prints ONE parseable document: a bare object
-        // (result or {"error": ...}) for a single spec, an array with
-        // one entry per spec (error entries in position) for a batch.
-        // -csv prints one standalone fromCsv()-parseable document per
-        // spec, separated by blank lines, each preceded by a
-        // "# benchmark i/N" comment in batch mode.
-        bool json_array =
-            format == OutputFormat::Json && outcomes.size() > 1;
-        if (json_array)
-            std::cout << "[\n";
-
-        bool any_failed = false;
-        for (std::size_t i = 0; i < outcomes.size(); ++i) {
-            const auto &outcome = outcomes[i];
-            bool last = i + 1 == outcomes.size();
-            if (outcomes.size() > 1 && format == OutputFormat::Csv) {
-                std::cout << "# benchmark " << i + 1 << "/"
-                          << outcomes.size() << "\n";
-            }
-            if (!outcome.ok()) {
-                any_failed = true;
-                std::cerr << "benchmark " << i + 1 << "/"
-                          << outcomes.size() << " failed ("
-                          << runErrorCodeName(outcome.error().code)
-                          << "): " << outcome.error().message << "\n";
-                if (format == OutputFormat::Json) {
-                    std::cout << "{\"error\": {\"code\": \""
-                              << runErrorCodeName(outcome.error().code)
-                              << "\", \"message\": \""
-                              << jsonEscape(outcome.error().message)
-                              << "\"}}" << (json_array && !last ? "," : "")
-                              << "\n";
-                }
-                if (format == OutputFormat::Csv && !last)
-                    std::cout << "\n";
-                continue;
-            }
-            const auto &result = outcome.result();
-            if (outcomes.size() > 1 && format == OutputFormat::Text) {
-                std::cout << "## " << result.specEcho << "\n";
-            }
-            switch (format) {
-              case OutputFormat::Text:
-                std::cout << result.format();
-                break;
-              case OutputFormat::Json:
-                std::cout << result.toJson();
-                if (json_array && !last)
-                    std::cout << ",";
-                break;
-              case OutputFormat::Csv:
-                std::cout << result.toCsv();
-                break;
-            }
-            if (format != OutputFormat::Json &&
-                outcomes.size() > 1 && !last)
-                std::cout << "\n";
-        }
-        if (json_array)
-            std::cout << "]\n";
-        write_trace();
-        print_stats(engine);
-        // 130 = interrupted (the conventional 128 + SIGINT).
-        if (was_cancelled)
+        bool failed = printDocuments(format, preset, [&](std::size_t) {
+            const RunOutcome &outcome = ran.outcomes[next_ran++];
+            if (!outcome.ok())
+                return SpecDocument{outcome.error(), {}, {}};
+            return SpecDocument{std::nullopt, outcome.result().specEcho,
+                                render(outcome.result(), format)};
+        });
+        if (finish(ran.report))
             return 130;
-        return any_failed ? 1 : 0;
+        return failed ? 1 : 0;
     } catch (const FatalError &e) {
         return 1;
     } catch (const PanicError &e) {

@@ -3,13 +3,17 @@
  * Minimal JSON cursor over the subset this library emits (objects,
  * arrays, strings with escapes, numbers). Tolerant about member order
  * and unknown keys so externally post-processed files still load.
- * Shared by the result and campaign-report readers.
+ * Shared by every JSON reader in the library; its errors say what
+ * went wrong and where (byte offset), and a file loader prefixes the
+ * path.
  */
 
 #ifndef NB_CORE_JSON_HH
 #define NB_CORE_JSON_HH
 
 #include <cctype>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "common/logging.hh"
@@ -36,7 +40,7 @@ class JsonCursor
     {
         skipWs();
         if (pos_ >= text_.size())
-            fatal("JSON result: unexpected end of input");
+            fatal("JSON: unexpected end of input at offset ", pos_);
         return text_[pos_];
     }
 
@@ -44,7 +48,7 @@ class JsonCursor
     expect(char c)
     {
         if (peek() != c)
-            fatal("JSON result: expected '", c, "' at offset ", pos_);
+            fatal("JSON: expected '", c, "' at offset ", pos_);
         ++pos_;
     }
 
@@ -69,7 +73,7 @@ class JsonCursor
                 continue;
             }
             if (pos_ >= text_.size())
-                fatal("JSON result: dangling escape");
+                fatal("JSON: dangling escape at offset ", pos_);
             char esc = text_[pos_++];
             switch (esc) {
               case '"': out += '"'; break;
@@ -80,21 +84,22 @@ class JsonCursor
               case 'r': out += '\r'; break;
               case 'u': {
                 if (pos_ + 4 > text_.size())
-                    fatal("JSON result: truncated \\u escape");
+                    fatal("JSON: truncated \\u escape at offset ", pos_);
                 auto code = parseHex(text_.substr(pos_, 4));
                 if (!code)
-                    fatal("JSON result: bad \\u escape");
+                    fatal("JSON: bad \\u escape at offset ", pos_);
                 pos_ += 4;
                 // The emitter only produces \u00XX control codes.
                 out += static_cast<char>(*code & 0xFF);
                 break;
               }
               default:
-                fatal("JSON result: unsupported escape '\\", esc, "'");
+                fatal("JSON: unsupported escape '\\", esc, "' at offset ",
+                      pos_ - 1);
             }
         }
         if (pos_ >= text_.size())
-            fatal("JSON result: unterminated string");
+            fatal("JSON: unterminated string at offset ", pos_);
         ++pos_; // closing quote
         return out;
     }
@@ -111,12 +116,13 @@ class JsonCursor
                 text_[pos_] == 'E'))
             ++pos_;
         if (start == pos_)
-            fatal("JSON result: expected a number at offset ", pos_);
+            fatal("JSON: expected a number at offset ", pos_);
         try {
             return std::stod(text_.substr(start, pos_ - start));
         } catch (const std::exception &) {
-            fatal("JSON result: bad number '",
-                  text_.substr(start, pos_ - start), "'");
+            fatal("JSON: bad number '",
+                  text_.substr(start, pos_ - start), "' at offset ",
+                  start);
         }
     }
 
@@ -126,7 +132,7 @@ class JsonCursor
     {
         skipWs();
         if (pos_ < text_.size())
-            fatal("JSON result: trailing data at offset ", pos_);
+            fatal("JSON: trailing data at offset ", pos_);
     }
 
     /** Skip any value (used for unknown keys). */
@@ -174,6 +180,34 @@ class JsonCursor
     const std::string &text_;
     std::size_t pos_ = 0;
 };
+
+/**
+ * Load a JSON-or-CSV artifact @p T (a table, a profile) from @p path:
+ * text starting with '{' parses with T::fromJson, anything else with
+ * T::fromCsv. Parse errors come back prefixed with the artifact kind
+ * @p what and the path, so a bad file names itself.
+ * @throws nb::FatalError on unreadable or malformed input.
+ */
+template <typename T>
+T
+loadArtifact(const std::string &path, const char *what)
+{
+    std::ifstream in(path);
+    if (!in)
+        fatal("cannot open ", what, " file '", path, "'");
+    std::string text{std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>()};
+    try {
+        // Report the error once, with the path, below.
+        ScopedFatalMessageSuppression quiet;
+        auto start = text.find_first_not_of(" \t\r\n");
+        if (start != std::string::npos && text[start] == '{')
+            return T::fromJson(text);
+        return T::fromCsv(text);
+    } catch (const FatalError &e) {
+        fatal(what, " file '", path, "': ", e.what());
+    }
+}
 
 } // namespace nb::core
 

@@ -720,21 +720,7 @@ buildMachineProfile(Engine &engine, const ProfileOptions &options)
         return build;
     }
 
-    CampaignOptions campaign_opt;
-    campaign_opt.jobs = options.jobs;
-    campaign_opt.dedup = options.dedup;
-    campaign_opt.session = options.session;
-    if (options.progress) {
-        // The builder's coarse (done, total) callback maps onto the
-        // settle events of the richer campaign progress stream.
-        campaign_opt.progress =
-            [cb = options.progress](const CampaignProgress &event) {
-                if (!event.starting)
-                    cb(event.done, event.total);
-            };
-    }
-    campaign_opt.trace = options.trace;
-    campaign_opt.observe = options.observe;
+    CampaignOptions campaign_opt = options;
     // Workers reproduce the planning machine's reservation and
     // prefetcher state before running anything.
     Addr r14_size = plan.r14Size;

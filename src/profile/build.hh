@@ -14,14 +14,15 @@
  *     CPUs that advertise an adaptive L3, the self-contained
  *     set-dueling probes.
  *
- *  2. The specs run through ONE Engine::runCampaign() call. Because
- *     they address absolute (R14-area) memory and assume a
- *     just-booted machine, the campaign runs with machineSetup, which
- *     reproduces the planning machine's reservation and prefetcher
- *     state on every worker. Each worker restores that post-setup
- *     state before every spec, so the outcome of every spec is a pure
- *     function of the spec: -jobs N profiles are bit-identical to
- *     -jobs 1.
+ *  2. The specs run through ONE Engine::runCampaign() call, with the
+ *     caller's CampaignOptions (ProfileOptions derives from them).
+ *     Because the specs address absolute (R14-area) memory and assume
+ *     a just-booted machine, the campaign runs with machineSetup,
+ *     which reproduces the planning machine's reservation and
+ *     prefetcher state on every worker. Each worker restores that
+ *     post-setup state before every spec, so the outcome of every spec
+ *     is a pure function of the spec: -jobs N profiles are
+ *     bit-identical to -jobs 1.
  *
  *  3. decodeMachineProfile() folds the outcomes back, in plan order.
  *     Per-spec failures degrade to errored sections instead of
@@ -31,8 +32,6 @@
 #ifndef NB_PROFILE_BUILD_HH
 #define NB_PROFILE_BUILD_HH
 
-#include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -47,26 +46,17 @@
 namespace nb::profile
 {
 
-/** Options for planMachineProfile() / buildMachineProfile(). */
-struct ProfileOptions
+/**
+ * Options for planMachineProfile() / buildMachineProfile(): the
+ * campaign's options plus the experiment sizing. session selects the
+ * machine; cache and TLB experiments need kernel mode, and in user
+ * mode every section of the profile reports an error instead of
+ * measuring. machineSetup is replaced by the plan's own setup
+ * (prepareProfileMachine); every other campaign option -- workers,
+ * budgets, retries, checkpoint/resume, cancellation -- applies as is.
+ */
+struct ProfileOptions : CampaignOptions
 {
-    /** Machine selection (uarch, mode, seed). Cache and TLB
-     *  experiments need kernel mode; in user mode every section of
-     *  the profile reports an error instead of measuring. */
-    SessionOptions session;
-    /** Campaign worker threads (0 = one per hardware thread). */
-    unsigned jobs = 1;
-    /** Share outcomes of identical specs. */
-    bool dedup = true;
-    /** Campaign progress callback (settled specs / total specs). */
-    std::function<void(std::size_t done, std::size_t total)> progress;
-    /** Span tracer forwarded to the campaign (not owned; may be
-     *  null). See CampaignOptions::trace. */
-    obs::Tracer *trace = nullptr;
-    /** Attach per-worker execution observers (never perturbs
-     *  outcomes). See CampaignOptions::observe. */
-    bool observe = false;
-
     // ---- experiment sizing (defaults balance coverage vs runtime) --
     /** Probe associativities 1..maxAssoc per level. */
     unsigned maxAssoc = 24;

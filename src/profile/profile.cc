@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <tuple>
@@ -520,16 +519,7 @@ MachineProfile::fromCsv(const std::string &text)
 MachineProfile
 MachineProfile::load(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open profile file '", path, "'");
-    std::string text{std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>()};
-    // JSON profiles start with '{'; everything else parses as CSV.
-    auto start = text.find_first_not_of(" \t\r\n");
-    if (start != std::string::npos && text[start] == '{')
-        return fromJson(text);
-    return fromCsv(text);
+    return core::loadArtifact<MachineProfile>(path, "profile");
 }
 
 // --------------------------------------------------------------- diff --

@@ -238,6 +238,10 @@ Machine::endExec(ExecContext &ctx) const
 void
 Machine::budgetCheckpoint(ExecContext &ctx)
 {
+    // Issue is in order, so every later RDPMC/RDMSR samples at or
+    // after the current issue cycle: the PMU can fold everything up
+    // to it, which bounds its logs on long runs.
+    pmu_.foldThrough(sched_.issueCycle);
     const Cycles consumed = sched_.maxCompletion - ctx.stats.startCycle;
     fault::maybeInject(fault::Site::Execute, consumed);
     if (cycleDeadline_ == 0 || sched_.maxCompletion < cycleDeadline_)

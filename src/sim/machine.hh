@@ -306,8 +306,9 @@ class Machine
     void maybeInterrupt(ExecContext &ctx);
     void scheduleNextInterrupt();
 
-    /** Cold path of checkpoint(): fault-injection arrival (execute
-     *  site) and the cycle-budget deadline. Throws InjectedFault or
+    /** Cold path of checkpoint(): folds the PMU logs up to the issue
+     *  cycle, then checks fault-injection arrival (execute site) and
+     *  the cycle-budget deadline. Throws InjectedFault or
      *  BudgetExceededError. */
     void budgetCheckpoint(ExecContext &ctx);
 

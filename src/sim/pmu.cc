@@ -101,6 +101,26 @@ Pmu::beginEpoch()
         epochBase_[i] = totals_[i];
         logs_[i].clear();
     }
+    foldedThrough_ = 0;
+}
+
+void
+Pmu::foldThrough(Cycles cycle)
+{
+    NB_ASSERT(cycle >= foldedThrough_, "PMU fold cycle went back from ",
+              foldedThrough_, " to ", cycle);
+    foldedThrough_ = cycle;
+    for (unsigned i = 0; i < kNumEvents; ++i) {
+        auto &log = logs_[i];
+        auto kept = log.begin();
+        for (const Increment &inc : log) {
+            if (inc.cycle <= cycle)
+                epochBase_[i] += inc.n;
+            else
+                *kept++ = inc;
+        }
+        log.erase(kept, log.end());
+    }
 }
 
 std::uint64_t

@@ -85,9 +85,25 @@ class Pmu
     /**
      * Start a new sampling epoch: drops the time-resolved logs (their
      * totals are folded into the epoch base). Called before each
-     * generated-code run to bound memory.
+     * generated-code run.
      */
     void beginEpoch();
+
+    /**
+     * Fold every logged increment at or before @p cycle into the epoch
+     * base, so the logs hold only increments after it. Exact as long
+     * as every later read samples at @p cycle or after (the machine
+     * passes its in-order issue cycle); @p cycle must not decrease
+     * within an epoch. Bounds the logs of a long run to the
+     * increments of the in-flight window.
+     */
+    void foldThrough(Cycles cycle);
+
+    /** Logged increments currently held for @p event; for tests. */
+    std::size_t loggedIncrements(EventId event) const
+    {
+        return logs_[static_cast<unsigned>(event)].size();
+    }
 
     /** Value of programmable counter @p idx as of @p cycle. */
     std::uint64_t readProg(unsigned idx, Cycles cycle) const;
@@ -129,8 +145,10 @@ class Pmu
     /** Epoch-base totals per semantic event. */
     std::array<std::uint64_t, kNumEvents> epochBase_{};
     /** Time-resolved increments since the epoch began (selected events
-     *  and InstrRetired only). */
+     *  and InstrRetired only), minus those folded into epochBase_. */
     std::array<std::vector<Increment>, kNumEvents> logs_{};
+    /** Cycle of the last foldThrough() in this epoch. */
+    Cycles foldedThrough_ = 0;
 };
 
 } // namespace nb::sim

@@ -141,7 +141,7 @@ class Characterizer
     /**
      * Fold campaign/batch outcomes back into rows, in catalog order.
      * @p outcomes must have one entry per plan.specs element, in plan
-     * order (exactly what runCampaign()/runBatch() return for the
+     * order (exactly what runCampaign() returns for the
      * extracted spec list). Failed outcomes degrade gracefully: a
      * failed latency chain leaves latency unset, a failed
      * throughput/port benchmark marks the variant errored.

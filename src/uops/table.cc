@@ -7,7 +7,6 @@
 #include "table.hh"
 
 #include <algorithm>
-#include <fstream>
 #include <iomanip>
 #include <map>
 #include <sstream>
@@ -275,16 +274,7 @@ InstructionTable::fromCsv(const std::string &text)
 InstructionTable
 InstructionTable::load(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open table file '", path, "'");
-    std::string text{std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>()};
-    // JSON tables start with '{'; everything else parses as CSV.
-    auto start = text.find_first_not_of(" \t\r\n");
-    if (start != std::string::npos && text[start] == '{')
-        return fromJson(text);
-    return fromCsv(text);
+    return core::loadArtifact<InstructionTable>(path, "table");
 }
 
 // --------------------------------------------------------------- diff --
@@ -420,7 +410,7 @@ diffTables(const InstructionTable &before, const InstructionTable &after,
 // ------------------------------------------------------------ builder --
 
 TableBuild
-buildInstructionTable(Engine &engine, const TableBuildOptions &options)
+buildInstructionTable(Engine &engine, const CampaignOptions &options)
 {
     // One session up front: planning reads the machine's uarch/PMU
     // capabilities. The campaign's workers build their own machines,
@@ -428,24 +418,8 @@ buildInstructionTable(Engine &engine, const TableBuildOptions &options)
     Session session = engine.session(options.session);
     Characterizer tool(session);
     CharacterizationPlan plan = tool.plan();
-
-    CampaignOptions campaign_opt;
-    campaign_opt.jobs = options.jobs;
-    campaign_opt.dedup = options.dedup;
-    campaign_opt.session = options.session;
-    if (options.progress) {
-        // The table's coarse (done, total) callback maps onto the
-        // settle events of the richer campaign progress stream.
-        campaign_opt.progress =
-            [cb = options.progress](const CampaignProgress &event) {
-                if (!event.starting)
-                    cb(event.done, event.total);
-            };
-    }
-    campaign_opt.trace = options.trace;
-    campaign_opt.observe = options.observe;
     CampaignResult campaign =
-        engine.runCampaign(Characterizer::planSpecs(plan), campaign_opt);
+        engine.runCampaign(Characterizer::planSpecs(plan), options);
 
     TableBuild build;
     build.table.uarch = session.uarch();

@@ -14,14 +14,15 @@
  * full catalog (uops/characterize.hh), ships the plan through
  * Engine::runCampaign() -- the throughput/port decoder pairs share one
  * spec per variant, so campaign dedup executes each once -- and
- * decodes the outcomes back into rows. Per-spec failures degrade the
- * affected row instead of aborting the catalog.
+ * decodes the outcomes back into rows. It takes plain CampaignOptions,
+ * so a table build has everything a campaign has: workers, budgets,
+ * retries, checkpoint/resume and cancellation. Per-spec failures
+ * degrade the affected row instead of aborting the catalog.
  */
 
 #ifndef NB_UOPS_TABLE_HH
 #define NB_UOPS_TABLE_HH
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -118,26 +119,6 @@ TableDiff diffTables(const InstructionTable &before,
                      const InstructionTable &after,
                      double tolerance = 0.05);
 
-/** Options for buildInstructionTable(). */
-struct TableBuildOptions
-{
-    /** Machine selection (uarch, mode, seed) for the campaign. */
-    SessionOptions session;
-    /** Campaign worker threads (0 = one per hardware thread). */
-    unsigned jobs = 1;
-    /** Share outcomes of identical specs (the throughput/port pairs
-     *  at minimum; leave on unless measuring dedup itself). */
-    bool dedup = true;
-    /** Campaign progress callback (settled specs / total specs). */
-    std::function<void(std::size_t done, std::size_t total)> progress;
-    /** Span tracer forwarded to the campaign (not owned; may be
-     *  null). See CampaignOptions::trace. */
-    obs::Tracer *trace = nullptr;
-    /** Attach per-worker execution observers (never perturbs
-     *  outcomes). See CampaignOptions::observe. */
-    bool observe = false;
-};
-
 /** Everything buildInstructionTable() produces. */
 struct TableBuild
 {
@@ -148,13 +129,15 @@ struct TableBuild
 };
 
 /**
- * Characterize the full variant catalog through Engine::runCampaign()
- * and assemble the rows into a table. @throws nb::FatalError for an
- * unknown uarch (before any work starts); per-spec failures are
+ * Characterize the full variant catalog through one
+ * Engine::runCampaign() call with @p options (options.session selects
+ * the machine the catalog is planned for) and assemble the rows into
+ * a table. @throws nb::FatalError for an unknown uarch (before any
+ * work starts); per-spec failures, budget overruns included, are
  * folded into the affected rows instead.
  */
 TableBuild buildInstructionTable(Engine &engine,
-                                 const TableBuildOptions &options = {});
+                                 const CampaignOptions &options = {});
 
 } // namespace nb::uops
 

@@ -437,6 +437,54 @@ TEST(SpecFile, MalformedLinesAreErrorsWithLineNumbers)
               std::string::npos);
 }
 
+TEST(SpecFile, CommandLineAndSpecFileOptionsGiveTheSameSpec)
+{
+    // The same options as command-line tokens (applySpecOption one at
+    // a time, as the CLI does) and as one spec-file line.
+    const std::vector<std::string> argv = {
+        "-asm",          "add RAX, RAX", "-asm_init",       "mov R14, 8",
+        "-unroll_count", "0",            "-loop_count",     "3",
+        "-n_measurements", "4",          "-warm_up_count",  "1",
+        "-agg",          "min",          "-serialize",      "cpuid",
+        "-basic_mode",   "-no_mem",      "-aperf_mperf",    "-lint_level",
+        "warn"};
+    BenchmarkSpec from_argv;
+    for (std::size_t i = 0; i < argv.size(); ++i) {
+        auto value = [&]() { return argv.at(++i); };
+        ASSERT_TRUE(applySpecOption(from_argv, argv[i], value)) << argv[i];
+    }
+    auto entries = parseSpecLines(
+        "-asm \"add RAX, RAX\" -asm_init \"mov R14, 8\" -unroll_count 0 "
+        "-loop_count 3 -n_measurements 4 -warm_up_count 1 -agg min "
+        "-serialize cpuid -basic_mode -no_mem -aperf_mperf "
+        "-lint_level warn\n",
+        BenchmarkSpec{});
+    ASSERT_EQ(entries.size(), 1u);
+    ASSERT_FALSE(entries[0].error.has_value()) << entries[0].error->message;
+    EXPECT_EQ(specCanonicalKey(from_argv), specCanonicalKey(entries[0].spec));
+    EXPECT_EQ(from_argv.unrollCount, 0u);
+    EXPECT_EQ(from_argv.lintLevel, core::LintLevel::Warn);
+
+    // -unroll_count 0 is kept as given on both surfaces, so both runs
+    // settle the same way: as an invalid spec.
+    Engine engine;
+    Session session = engine.session();
+    BenchmarkSpec zero;
+    zero.asmCode = "nop";
+    zero.unrollCount = 0;
+    auto outcome = session.run(zero);
+    ASSERT_FALSE(outcome.ok());
+    EXPECT_EQ(outcome.error().code, RunError::Code::InvalidSpec);
+
+    // Options that are not spec options consume nothing.
+    bool called = false;
+    EXPECT_FALSE(applySpecOption(from_argv, "-jobs", [&]() {
+        called = true;
+        return std::string("2");
+    }));
+    EXPECT_FALSE(called);
+}
+
 TEST(SpecFile, ParsedSpecsRunAsACampaign)
 {
     core::BenchmarkSpec defaults;

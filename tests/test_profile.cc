@@ -311,6 +311,25 @@ TEST(ProfileSerialization, LoadAutoDetectsFormat)
                  FatalError);
 }
 
+TEST(ProfileSerialization, LoadNamesTheFileAndOffsetOfAParseError)
+{
+    std::string json = cachedBuild("Skylake").profile.toJson();
+    std::string path = testing::TempDir() + "nb_truncated_profile.json";
+    std::ofstream(path) << json.substr(0, json.size() / 2);
+    try {
+        MachineProfile::load(path);
+        FAIL() << "a truncated profile loaded";
+    } catch (const FatalError &e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("profile file '" + path + "'"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("at offset"), std::string::npos) << what;
+        EXPECT_EQ(what.find("result"), std::string::npos) << what;
+    }
+    std::remove(path.c_str());
+}
+
 // ------------------------------------------------------------- diff --
 
 TEST(ProfileDiff, ReportsEveryKind)

@@ -204,6 +204,34 @@ TEST(Semantics, RunawayLoopGuard)
     }
 }
 
+TEST(Semantics, LongSpinKeepsThePmuLogWindowSized)
+{
+    // A spin of over a million instructions with a programmed counter:
+    // each amortized budget checkpoint folds the PMU's time-resolved
+    // log up to the issue cycle, so the log holds no more than the
+    // increments of the last checkpoint interval plus the in-flight
+    // window, not one entry per busy cycle of the whole run.
+    auto m = makeMachine();
+    ASSERT_TRUE(m->pmu().configureProg(0, EventCode{0xC4, 0x00}));
+    m->setCycleBudget(3'000'000);
+    try {
+        execProgram(*m, assemble("spin: jmp spin"));
+        FAIL() << "endless loop was not stopped";
+    } catch (const BudgetExceededError &e) {
+        EXPECT_GE(e.instructions(), 1'000'000u);
+    }
+    constexpr std::size_t kWindowSized = 4096;
+    EXPECT_LE(m->pmu().loggedIncrements(EventId::InstrRetired),
+              kWindowSized);
+    EXPECT_LE(m->pmu().loggedIncrements(EventId::BrInstRetired),
+              kWindowSized);
+    // Folding is exact: a read at the end still sees every increment.
+    EXPECT_EQ(m->pmu().readProg(0, m->cycles()),
+              m->pmu().total(EventId::BrInstRetired));
+    EXPECT_EQ(m->pmu().readFixed(0, m->cycles()),
+              m->pmu().total(EventId::InstrRetired));
+}
+
 // -------------------------------------------------------- privileges --
 
 TEST(Privilege, PrivilegedInstructionsFaultInUserMode)

@@ -6,6 +6,7 @@
  * per-variant failures), table JSON/CSV round-trips, and diffing.
  */
 
+#include <fstream>
 #include <gtest/gtest.h>
 
 #include "uops/table.hh"
@@ -99,7 +100,7 @@ TEST(Plan, KernelOnlyVariantsGetNoSpecsInUserMode)
 TEST(Builder, FullCatalogRunsThroughTheCampaign)
 {
     Engine engine;
-    TableBuildOptions opt;
+    CampaignOptions opt;
     opt.jobs = 2;
     auto build = buildInstructionTable(engine, opt);
 
@@ -141,7 +142,7 @@ TEST(Builder, MatchesTheSerialCharacterizer)
     // exact equality is only guaranteed between campaigns
     // (test_campaign covers that).
     Engine engine;
-    TableBuildOptions opt;
+    CampaignOptions opt;
     opt.jobs = 4;
     auto build = buildInstructionTable(engine, opt);
 
@@ -174,7 +175,7 @@ TEST(Builder, MatchesTheSerialCharacterizer)
 TEST(Builder, RepeatedCampaignsAreIdentical)
 {
     // Same layout, fresh machines: bit-identical tables.
-    TableBuildOptions opt;
+    CampaignOptions opt;
     opt.jobs = 2;
     Engine engine;
     auto first = buildInstructionTable(engine, opt);
@@ -183,6 +184,38 @@ TEST(Builder, RepeatedCampaignsAreIdentical)
     EXPECT_TRUE(diffTables(first.table, second.table,
                            /*tolerance=*/0.0)
                     .empty());
+}
+
+TEST(Builder, HonoursTheCampaignBudgetAndCheckpoint)
+{
+    // The builder takes plain CampaignOptions: a tiny campaign budget
+    // turns every measured row into a budget-exceeded error, and the
+    // checkpoint journal records every settled spec.
+    std::string journal = testing::TempDir() + "nb_table_budget.jsonl";
+    std::remove(journal.c_str());
+    Engine engine;
+    CampaignOptions opt;
+    opt.jobs = 2;
+    opt.specBudget = 1000;
+    opt.checkpoint = journal;
+    auto build = buildInstructionTable(engine, opt);
+
+    EXPECT_EQ(build.table.errorCount(), build.table.rows.size());
+    EXPECT_EQ(build.report.errorHistogram[static_cast<unsigned>(
+                  RunError::Code::BudgetExceeded)],
+              build.report.totalSpecs);
+    for (const auto &row : build.table.rows)
+        EXPECT_NE(row.error.find("budget-exceeded"), std::string::npos)
+            << row.asmText << ": " << row.error;
+
+    std::ifstream in(journal);
+    ASSERT_TRUE(in) << journal;
+    std::size_t lines = 0;
+    for (std::string line; std::getline(in, line);)
+        ++lines;
+    // A header line plus one line per unique spec.
+    EXPECT_EQ(lines, build.report.uniqueSpecs + 1);
+    std::remove(journal.c_str());
 }
 
 TEST(Builder, FailingVariantIsMarkedErroredNotFatal)
@@ -325,7 +358,7 @@ TEST(TableSerialization, CsvRoundTrip)
 TEST(TableSerialization, MeasuredTableRoundTripsExactly)
 {
     Engine engine;
-    TableBuildOptions opt;
+    CampaignOptions opt;
     opt.jobs = 2;
     auto build = buildInstructionTable(engine, opt);
     expectTablesEqual(build.table,
@@ -357,6 +390,25 @@ TEST(TableSerialization, LoadRejectsMissingFile)
 {
     EXPECT_THROW(InstructionTable::load("/nonexistent/table.json"),
                  FatalError);
+}
+
+TEST(TableSerialization, LoadNamesTheFileAndOffsetOfAParseError)
+{
+    std::string json = sampleTable().toJson();
+    std::string path = testing::TempDir() + "nb_truncated_table.json";
+    std::ofstream(path) << json.substr(0, json.size() / 2);
+    try {
+        InstructionTable::load(path);
+        FAIL() << "a truncated table loaded";
+    } catch (const FatalError &e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("table file '" + path + "'"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("at offset"), std::string::npos) << what;
+        EXPECT_EQ(what.find("result"), std::string::npos) << what;
+    }
+    std::remove(path.c_str());
 }
 
 // -------------------------------------------------------------- diff --
@@ -463,7 +515,7 @@ TEST(TableDiffing, CrossUarchDiffFindsRealDifferences)
     // Nehalem has no AVX: those variants appear only in the Skylake
     // table, and ADC latency differs (2 cycles pre-Broadwell).
     Engine engine;
-    TableBuildOptions opt;
+    CampaignOptions opt;
     opt.jobs = 2;
     auto skylake = buildInstructionTable(engine, opt);
     opt.session.uarch = "Nehalem";
