@@ -367,26 +367,32 @@ loadCheckpoint(const std::string &path, const std::string &uarch,
         fatal("checkpoint '", path, "' is empty");
     // Header: require the schema marker and matching identity.
     {
-        core::JsonCursor cur(line);
         bool versioned = false;
         std::string ck_uarch;
         std::string ck_mode;
-        cur.expect('{');
-        if (!cur.tryConsume('}')) {
-            do {
-                std::string field = cur.parseString();
-                cur.expect(':');
-                if (field == "nb_checkpoint") {
-                    versioned = cur.parseNumber() == 1;
-                } else if (field == "uarch") {
-                    ck_uarch = cur.parseString();
-                } else if (field == "mode") {
-                    ck_mode = cur.parseString();
-                } else {
-                    cur.skipValue();
-                }
-            } while (cur.tryConsume(','));
-            cur.expect('}');
+        try {
+            // Report a parse error once, with the path, below.
+            ScopedFatalMessageSuppression quiet;
+            core::JsonCursor cur(line);
+            cur.expect('{');
+            if (!cur.tryConsume('}')) {
+                do {
+                    std::string field = cur.parseString();
+                    cur.expect(':');
+                    if (field == "nb_checkpoint") {
+                        versioned = cur.parseNumber() == 1;
+                    } else if (field == "uarch") {
+                        ck_uarch = cur.parseString();
+                    } else if (field == "mode") {
+                        ck_mode = cur.parseString();
+                    } else {
+                        cur.skipValue();
+                    }
+                } while (cur.tryConsume(','));
+                cur.expect('}');
+            }
+        } catch (const FatalError &e) {
+            fatal("checkpoint '", path, "' header: ", e.what());
         }
         if (!versioned)
             fatal("'", path, "' is not a version-1 nanoBench ",
@@ -406,6 +412,8 @@ loadCheckpoint(const std::string &path, const std::string &uarch,
     }
     for (std::size_t i = 0; i < pending.size(); ++i) {
         try {
+            // Report a parse error once, with the path, below.
+            ScopedFatalMessageSuppression quiet;
             auto [key, outcome] = parseJournalLine(pending[i]);
             outcomes.insert_or_assign(std::move(key),
                                       std::move(outcome));

@@ -149,6 +149,11 @@ printUsage()
         "                       campaign's observed totals into the\n"
         "                       -stats registry instead\n"
         "                       (campaign.observed.* counters)\n"
+        "                       -lint, -explain and -observe run no\n"
+        "                       campaign: they refuse -jobs, -report,\n"
+        "                       -checkpoint, -resume, -max_retries,\n"
+        "                       -progress and -stats (and -lint and\n"
+        "                       -explain refuse -trace)\n"
         "  -trace <file>        write a Chrome trace-event JSON file\n"
         "                       (load in Perfetto / chrome://tracing)\n"
         "                       with spans for the campaign and for\n"
@@ -327,6 +332,8 @@ main(int argc, char **argv)
     std::string diff_path_b;
     std::string profile_diff_a;
     std::string profile_diff_b;
+    // Options that only configure a campaign, in command-line order.
+    std::vector<std::string> campaign_only;
 
     try {
         for (int i = 1; i < argc; ++i) {
@@ -336,6 +343,12 @@ main(int argc, char **argv)
                     fatal("missing value for option ", arg);
                 return argv[++i];
             };
+            for (const char *flag :
+                 {"-report", "-checkpoint", "-resume", "-max_retries",
+                  "-jobs", "-progress", "-stats", "-trace"}) {
+                if (arg == flag)
+                    campaign_only.push_back(arg);
+            }
             if (applySpecOption(shared, arg, next)) {
                 // Each -asm queues one benchmark; the other spec
                 // options apply to all of them.
@@ -421,6 +434,24 @@ main(int argc, char **argv)
             }
         }
 
+        // -lint, -explain and -observe run no campaign: refuse the
+        // first campaign-only option rather than ignore it (-observe
+        // does write a -trace).
+        const bool builds = characterize || !profile_path.empty();
+        std::string static_verb;
+        if (!builds) {
+            static_verb = lint               ? "-lint"
+                          : explain          ? "-explain"
+                          : campaign.observe ? "-observe"
+                                             : "";
+        }
+        for (const auto &flag : campaign_only) {
+            if (!static_verb.empty() &&
+                !(static_verb == "-observe" && flag == "-trace"))
+                fatal(flag, " has no effect with ", static_verb,
+                      " (it runs no campaign)");
+        }
+
         // Fault injection: -fault wins over the NB_FAULT environment
         // variable (the CI sweep uses the latter so it needs no
         // command-line surgery). The plan stays active for the whole
@@ -490,7 +521,6 @@ main(int argc, char **argv)
         // spec-file lines carry a preset error (reported in position,
         // with the line number) instead of anything to run.
         std::vector<std::optional<RunError>> preset;
-        const bool builds = characterize || !profile_path.empty();
         if (!builds) {
             // Merge the shared parameters into each explicitly queued
             // body; spec-file entries start from the same defaults and

@@ -462,6 +462,77 @@ TEST(Checkpoint, TornTrailingLineIsIgnored)
     std::remove(ck.c_str());
 }
 
+TEST(Checkpoint, BadJournalErrorsNameTheFileOnce)
+{
+    std::string ck = testing::TempDir() + "nb_ck_bad.jsonl";
+    auto specs = countingSpecs(3);
+    CampaignOptions opt;
+    opt.jobs = 1;
+    opt.checkpoint = ck;
+    Engine engine;
+    auto campaign = engine.runCampaign(specs, opt);
+    ASSERT_EQ(campaign.report.okCount, 3u);
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(ck);
+        for (std::string line; std::getline(in, line);)
+            lines.push_back(line);
+    }
+    ASSERT_EQ(lines.size(), 4u); // header + one entry per spec
+
+    // Resume from the journal with @p replace_at (0 = header) replaced,
+    // or cut short by @p cut bytes; returns the FatalError message (""
+    // on a clean resume) and the "fatal:" lines printed on stderr.
+    auto resume = [&](std::size_t replace_at, const std::string &with,
+                      std::size_t cut) {
+        std::string text;
+        for (std::size_t i = 0; i < lines.size(); ++i)
+            text += (i == replace_at ? with : lines[i]) + "\n";
+        std::ofstream(ck, std::ios::trunc)
+            << text.substr(0, text.size() - cut);
+        CampaignOptions resume_opt;
+        resume_opt.jobs = 1;
+        resume_opt.resume = ck;
+        Engine engine2;
+        std::string error;
+        testing::internal::CaptureStderr();
+        try {
+            auto resumed = engine2.runCampaign(specs, resume_opt);
+            EXPECT_EQ(resumed.report.resumedSpecs, 2u);
+            expectSameOutcomes(resumed.outcomes, campaign.outcomes);
+        } catch (const FatalError &e) {
+            error = e.what();
+        }
+        std::string err = testing::internal::GetCapturedStderr();
+        std::size_t fatal_lines = 0;
+        for (std::size_t at = err.find("fatal:"); at != std::string::npos;
+             at = err.find("fatal:", at + 1))
+            ++fatal_lines;
+        return std::make_pair(error, fatal_lines);
+    };
+
+    // A garbage header: one error, naming the file.
+    auto [header_error, header_fatals] = resume(0, "garbage", 0);
+    EXPECT_NE(header_error.find(ck), std::string::npos) << header_error;
+    EXPECT_NE(header_error.find("offset 0"), std::string::npos)
+        << header_error;
+    EXPECT_EQ(header_fatals, 1u);
+
+    // A corrupt middle entry: one error, naming the file and entry.
+    auto [entry_error, entry_fatals] =
+        resume(2, "{\"key\": \"torn", 0);
+    EXPECT_NE(entry_error.find(ck), std::string::npos) << entry_error;
+    EXPECT_NE(entry_error.find("entry 2"), std::string::npos)
+        << entry_error;
+    EXPECT_EQ(entry_fatals, 1u);
+
+    // A torn final entry: a clean resume with no fatal line.
+    auto [torn_error, torn_fatals] = resume(lines.size(), "", 40);
+    EXPECT_EQ(torn_error, "");
+    EXPECT_EQ(torn_fatals, 0u);
+    std::remove(ck.c_str());
+}
+
 TEST(Checkpoint, MismatchedUarchIsRejected)
 {
     std::string ck = testing::TempDir() + "nb_ck_uarch.jsonl";
