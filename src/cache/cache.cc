@@ -91,8 +91,9 @@ Cache::policyOf(unsigned set) const
 }
 
 int
-Cache::findWay(unsigned set, Addr tag, WayMask valid) const
+Cache::findWay(unsigned set, Addr tag, WayMask valid)
 {
+    ++stats_.tagScans;
     const Addr *base = &tags_[static_cast<std::size_t>(set) *
                               config_.assoc];
     for (; valid; valid &= valid - 1) {
@@ -104,7 +105,7 @@ Cache::findWay(unsigned set, Addr tag, WayMask valid) const
 }
 
 bool
-Cache::probe(Addr addr) const
+Cache::probe(Addr addr)
 {
     unsigned set = setIndex(addr);
     return findWay(set, tagOf(addr), validOf(set)) >= 0;
@@ -137,17 +138,29 @@ Cache::access(Addr addr, bool write)
     unsigned set = setIndex(addr);
     Addr tag = tagOf(addr);
     SetMeta &m = liveSet(set);
+    int way = findWay(set, tag, m.valid);
+    if (way < 0)
+        return fill(set, m, tag, write);
     LineAccessResult result;
     result.set = set;
+    result.hit = true;
+    result.way = static_cast<unsigned>(way);
+    recordHit(set, m, result.way, write);
+    return result;
+}
 
-    int way = findWay(set, tag, m.valid);
-    if (way >= 0) {
-        result.hit = true;
-        result.way = static_cast<unsigned>(way);
-        recordHit(set, m, result.way, write);
-        return result;
-    }
+LineAccessResult
+Cache::fillAbsent(Addr addr, bool write)
+{
+    unsigned set = setIndex(addr);
+    return fill(set, liveSet(set), tagOf(addr), write);
+}
 
+LineAccessResult
+Cache::fill(unsigned set, SetMeta &m, Addr tag, bool write)
+{
+    LineAccessResult result;
+    result.set = set;
     ++stats_.misses;
     std::uint64_t *st = stateOf(set);
     const Policy &policy = policyOf(set);

@@ -67,8 +67,12 @@ struct CacheStats
     std::uint64_t evictions = 0;
     std::uint64_t writebacks = 0;
     std::uint64_t invalidations = 0;
+    /** Tag scans of a set (one per probe, lookup or invalidate; none
+     *  for fillAbsent()): the exact work of the lookups. */
+    std::uint64_t tagScans = 0;
 
     std::uint64_t accesses() const { return hits + misses; }
+    bool operator==(const CacheStats &) const = default;
 };
 
 /** Result of an access to one cache. */
@@ -101,8 +105,9 @@ class Cache
     /** Reconstruct a line-aligned address from set and tag. */
     Addr addrOf(unsigned set, Addr tag) const;
 
-    /** Hit check without touching any state. */
-    bool probe(Addr addr) const;
+    /** Hit check that changes no line or replacement state (it counts
+     *  a tag scan). */
+    bool probe(Addr addr);
 
     /**
      * Access a line: on a hit, updates the replacement state; on a miss,
@@ -121,6 +126,14 @@ class Cache
      * @return true on a hit.
      */
     bool accessIfPresent(Addr addr, bool write);
+
+    /**
+     * Fill a line the caller knows is absent: exactly access()'s miss
+     * path, without scanning the set's tags first. Used after a lookup
+     * of this cache just missed and nothing since could have filled
+     * the line.
+     */
+    LineAccessResult fillAbsent(Addr addr, bool write);
 
     /**
      * Access that does NOT allocate on a miss (used for probes that model
@@ -170,9 +183,13 @@ class Cache
     {
         return repl_.data() + static_cast<std::size_t>(set) * words_;
     }
-    int findWay(unsigned set, Addr tag, WayMask valid) const;
+    /** Way holding @p tag among @p valid, or -1; counts a tag scan. */
+    int findWay(unsigned set, Addr tag, WayMask valid);
     /** Hit bookkeeping on a live set: stats, dirty bit, policy. */
     void recordHit(unsigned set, SetMeta &m, unsigned way, bool write);
+    /** Miss bookkeeping on a live set: insert @p tag over the
+     *  policy's victim. */
+    LineAccessResult fill(unsigned set, SetMeta &m, Addr tag, bool write);
 
     CacheConfig config_;
     unsigned numSets_;

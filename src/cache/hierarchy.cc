@@ -99,26 +99,28 @@ Hierarchy::setPrefetcherControl(std::uint64_t value)
     pfControl_ = value & pf::kDisableAll;
 }
 
+// Every fill follows a lookup of that level that missed; the fills
+// and back-invalidations in between only remove lines from it, so the
+// line is still absent and the fill skips the tag scan.
+
 void
 Hierarchy::fillL1(Addr paddr, bool write)
 {
     // L1 evictions: dirty lines are written back into L2 (no replacement
     // update -- writebacks do not re-reference the line).
-    auto result = l1_->access(paddr, write);
-    (void)result;
+    l1_->fillAbsent(paddr, write);
 }
 
 void
 Hierarchy::fillL2(Addr paddr, bool write)
 {
-    auto result = l2_->access(paddr, write);
-    (void)result;
+    l2_->fillAbsent(paddr, write);
 }
 
 void
 Hierarchy::fillL3(Addr paddr, bool write, unsigned slice)
 {
-    auto result = l3_[slice]->access(paddr, write);
+    auto result = l3_[slice]->fillAbsent(paddr, write);
     if (result.evicted) {
         // Inclusive L3: evicting a line invalidates it in the core
         // caches as well.

@@ -177,7 +177,8 @@ class Hierarchy
     void restore(const Snapshot &s);
 
   private:
-    /** Fill path on an L3 miss; returns the slice used. */
+    /** Fill a line into one level right after a lookup there missed
+     *  (Cache::fillAbsent); an L3 fill back-invalidates its victim. */
     void fillL3(Addr paddr, bool write, unsigned slice);
     void fillL2(Addr paddr, bool write);
     void fillL1(Addr paddr, bool write);

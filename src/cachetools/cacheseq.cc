@@ -41,6 +41,21 @@ marker(Opcode op)
     return insn;
 }
 
+/** Sets of one cache of @p level (one slice for the L3). */
+unsigned
+levelSets(const cache::Hierarchy &caches, CacheLevel level)
+{
+    switch (level) {
+      case CacheLevel::L1:
+        return caches.l1().numSets();
+      case CacheLevel::L2:
+        return caches.l2().numSets();
+      case CacheLevel::L3:
+        return caches.l3Slice(0).numSets();
+    }
+    panic("unreachable level");
+}
+
 } // namespace
 
 CacheSeq::CacheSeq(Session &session, const CacheSeqOptions &options)
@@ -91,34 +106,29 @@ CacheSeq::levelAssoc() const
     panic("unreachable level");
 }
 
+Addr
+CacheSeq::areaSize(const cache::Hierarchy &caches, CacheLevel level)
+{
+    // A physically-contiguous area for a few hundred candidates (plus
+    // slack for slice filtering on sliced L3s).
+    Addr needed = static_cast<Addr>(levelSets(caches, level)) *
+                  kCacheLineSize * 320 *
+                  (level == CacheLevel::L3 ? caches.numSlices() + 1 : 1);
+    return std::max<Addr>(needed, 8 * 1024 * 1024);
+}
+
 void
 CacheSeq::setupAddressSpace()
 {
     auto &machine = runner_.machine();
     const auto &caches = machine.caches();
-    unsigned target_sets = 0;
-    switch (opt_.level) {
-      case CacheLevel::L1:
-        target_sets = caches.l1().numSets();
-        break;
-      case CacheLevel::L2:
-        target_sets = caches.l2().numSets();
-        break;
-      case CacheLevel::L3:
-        target_sets = caches.l3Slice(0).numSets();
-        break;
-    }
+    unsigned target_sets = levelSets(caches, opt_.level);
     if (opt_.set >= target_sets)
         fatal("set index ", opt_.set, " out of range (", target_sets,
               " sets)");
     candidateStride_ = static_cast<Addr>(target_sets) * kCacheLineSize;
 
-    // Size the physically-contiguous area for a few hundred candidates
-    // (plus slack for slice filtering on sliced L3s).
-    unsigned slices = caches.numSlices();
-    Addr needed = candidateStride_ * 320 *
-                  (opt_.level == CacheLevel::L3 ? slices + 1 : 1);
-    needed = std::max<Addr>(needed, 8 * 1024 * 1024);
+    Addr needed = areaSize(caches, opt_.level);
     // Keep an already-reserved area that is big enough: re-reserving
     // would move the base, invalidating addresses other tools planned
     // against the same runner (the profile builder relies on one

@@ -114,6 +114,10 @@ class CacheSeq
     static const char *hitEventName(CacheLevel level);
     static const char *missEventName(CacheLevel level);
 
+    /** R14 bytes a CacheSeq for @p level reserves on @p caches,
+     *  unless the runner already holds at least that much. */
+    static Addr areaSize(const cache::Hierarchy &caches, CacheLevel level);
+
     /** Virtual address assigned to a block id. */
     Addr blockVaddr(int block);
 

@@ -310,7 +310,10 @@ DuelingScanner::planAreaSize(const DuelingPlanOptions &opt)
     Addr blocks = trainingBlocks(trainA_, trainB_);
     // Candidates for one (set, slice) appear every ~slices * stride
     // bytes; double that for slice-hash clustering, plus alignment.
-    return stride * (blocks * caches.numSlices() * 2 + 2);
+    // plan()'s CacheSeq keeps a reservation of at least its own size
+    // and otherwise reserves anew at another base, so cover it too.
+    return std::max(stride * (blocks * caches.numSlices() * 2 + 2),
+                    CacheSeq::areaSize(caches, CacheLevel::L3));
 }
 
 DuelingPlan

@@ -8,6 +8,17 @@
 
 #include <cstdint>
 
+/** Force inlining into each executor loop when optimizing: GCC leaves
+ *  small helpers as real calls inside the executors' very large
+ *  functions. An -O0 build calls the steps instead: it would not fold
+ *  the body switch, so each of the threaded executor's 51 handlers
+ *  would carry all of it. */
+#ifdef __OPTIMIZE__
+#define NB_ALWAYS_INLINE [[gnu::always_inline]] inline
+#else
+#define NB_ALWAYS_INLINE inline
+#endif
+
 namespace nb
 {
 

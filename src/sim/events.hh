@@ -87,9 +87,6 @@ std::optional<EventInfo> findEvent(const std::string &name);
 /** Canonical name of a semantic event. */
 std::string eventIdName(EventId id);
 
-/** The port-dispatch event for port @p port (0-7). */
-EventId portEvent(unsigned port);
-
 } // namespace nb::sim
 
 #endif // NB_SIM_EVENTS_HH

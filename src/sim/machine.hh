@@ -319,9 +319,12 @@ class Machine
      * pending array -- the pause gate is applied here, at accrual time
      * -- and are committed to the PMU totals in bulk when execute()
      * returns. Time-resolved events always reach the PMU immediately
-     * so per-cycle sampling semantics are exact.
+     * so per-cycle sampling semantics are exact; they are logged
+     * inline, since the mask test already answered Pmu::count()'s
+     * question. executeReference() takes the out-of-line Pmu::count().
      */
-    void count(EventId e, std::uint64_t n, Cycles at)
+    NB_ALWAYS_INLINE void
+    count(EventId e, std::uint64_t n, Cycles at)
     {
         if (!batchEvents_) {
             pmu_.count(e, n, at);
@@ -330,8 +333,9 @@ class Machine
         if (n == 0 || pmu_.isPaused())
             return;
         auto idx = static_cast<unsigned>(e);
+        NB_ASSERT(idx < kNumEvents, "bad event id");
         if (pmu_.loggedMask() >> idx & 1)
-            pmu_.count(e, n, at);
+            pmu_.log(idx, n, at);
         else
             pendingCounts_[idx] += n;
     }

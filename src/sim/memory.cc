@@ -5,11 +5,18 @@
 
 #include "memory.hh"
 
+#include <bit>
+#include <cstring>
+
 #include "common/bits.hh"
 #include "common/logging.hh"
 
 namespace nb::sim
 {
+
+// read() and write() copy the bytes of a std::uint64_t in host order.
+static_assert(std::endian::native == std::endian::little,
+              "PhysMemory assumes a little-endian host");
 
 PhysMemory::Page &
 PhysMemory::pageFor(Addr paddr)
@@ -33,6 +40,12 @@ PhysMemory::read(Addr paddr, unsigned bytes) const
 {
     NB_ASSERT(bytes >= 1 && bytes <= 8, "bad read size ", bytes);
     std::uint64_t value = 0;
+    const Addr offset = paddr % kPageSize;
+    if (offset + bytes <= kPageSize) {
+        if (const Page *page = pageForRead(paddr))
+            std::memcpy(&value, page->data() + offset, bytes);
+        return value;
+    }
     for (unsigned i = 0; i < bytes; ++i) {
         Addr a = paddr + i;
         const Page *page = pageForRead(a);
@@ -46,6 +59,11 @@ void
 PhysMemory::write(Addr paddr, std::uint64_t value, unsigned bytes)
 {
     NB_ASSERT(bytes >= 1 && bytes <= 8, "bad write size ", bytes);
+    const Addr offset = paddr % kPageSize;
+    if (offset + bytes <= kPageSize) {
+        std::memcpy(pageFor(paddr).data() + offset, &value, bytes);
+        return;
+    }
     for (unsigned i = 0; i < bytes; ++i) {
         Addr a = paddr + i;
         pageFor(a)[a % kPageSize] =
@@ -82,12 +100,14 @@ void
 PageTable::mapPage(Addr vaddr, Addr paddr)
 {
     map_[vaddr / kPageSize] = paddr / kPageSize;
+    lastVpage_ = ~Addr{0};
 }
 
 void
 PageTable::unmapPage(Addr vaddr)
 {
     map_.erase(vaddr / kPageSize);
+    lastVpage_ = ~Addr{0};
 }
 
 bool
@@ -99,11 +119,16 @@ PageTable::isMapped(Addr vaddr) const
 Addr
 PageTable::translate(Addr vaddr) const
 {
-    auto it = map_.find(vaddr / kPageSize);
-    if (it == map_.end())
-        fatal("page fault: virtual address 0x", std::hex, vaddr,
-              " is not mapped");
-    return it->second * kPageSize + vaddr % kPageSize;
+    const Addr vpage = vaddr / kPageSize;
+    if (vpage != lastVpage_) {
+        auto it = map_.find(vpage);
+        if (it == map_.end())
+            fatal("page fault: virtual address 0x", std::hex, vaddr,
+                  " is not mapped");
+        lastVpage_ = vpage;
+        lastPpage_ = it->second;
+    }
+    return lastPpage_ * kPageSize + vaddr % kPageSize;
 }
 
 } // namespace nb::sim

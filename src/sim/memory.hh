@@ -28,6 +28,8 @@ class PhysMemory
     using Page = std::array<std::uint8_t, kPageSize>;
 
   public:
+    /** Little-endian access of 1-8 bytes: one page lookup, or one per
+     *  byte when the access straddles a page boundary. */
     std::uint64_t read(Addr paddr, unsigned bytes) const;
     void write(Addr paddr, std::uint64_t value, unsigned bytes);
 
@@ -73,6 +75,10 @@ class PageTable
 
   private:
     std::unordered_map<Addr, Addr> map_; ///< vpage -> ppage
+    /** The last translation (vpage -> ppage), so consecutive accesses
+     *  to one page skip the map; cleared by mapPage() and unmapPage(). */
+    mutable Addr lastVpage_ = ~Addr{0};
+    mutable Addr lastPpage_ = 0;
 };
 
 /** Combined memory system handed to the machine. */

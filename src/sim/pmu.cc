@@ -80,18 +80,10 @@ Pmu::count(EventId event, std::uint64_t n, Cycles cycle)
         return;
     auto idx = static_cast<unsigned>(event);
     NB_ASSERT(idx < kNumEvents, "bad event id");
-    totals_[idx] += n;
-    if (eventLogged(event)) {
-        // Merge with the previous increment when it is at the same
-        // cycle (sample() only sums them): a spec that runs until its
-        // cycle budget then holds one entry per busy cycle, not one
-        // per retired instruction.
-        auto &log = logs_[idx];
-        if (!log.empty() && log.back().cycle == cycle)
-            log.back().n += static_cast<std::uint32_t>(n);
-        else
-            log.push_back(Increment{cycle, static_cast<std::uint32_t>(n)});
-    }
+    if (eventLogged(event))
+        log(idx, n, cycle);
+    else
+        totals_[idx] += n;
 }
 
 void

@@ -59,6 +59,29 @@ class Pmu
     void count(EventId event, std::uint64_t n, Cycles cycle);
 
     /**
+     * Record @p n occurrences of the logged event with index @p idx at
+     * @p cycle: bump its total and append the increment to its
+     * time-resolved log. The caller has applied the pause gate and
+     * checked loggedMask(); this is count() without those tests, for
+     * the threaded executor's hot path.
+     */
+    void
+    log(unsigned idx, std::uint64_t n, Cycles cycle)
+    {
+        totals_[idx] += n;
+        // Merge with the previous increment when it is at the same
+        // cycle (sample() only sums them): a spec that runs until its
+        // cycle budget then holds one entry per busy cycle, not one
+        // per retired instruction.
+        auto &entries = logs_[idx];
+        if (!entries.empty() && entries.back().cycle == cycle)
+            entries.back().n += static_cast<std::uint32_t>(n);
+        else
+            entries.push_back(
+                Increment{cycle, static_cast<std::uint32_t>(n)});
+    }
+
+    /**
      * Bitmask over EventId of events whose increments are time-resolved
      * (selected on a programmable counter, plus InstrRetired which
      * backs fixed counter 0). Events outside the mask only ever

@@ -39,13 +39,13 @@
 #include "fault/fault.hh"
 #include "sim/machine.hh"
 
-/** Force inlining into each executor loop when optimizing. An -O0 build
- *  calls the steps instead: it would not fold the body switch, so
- *  each of the threaded executor's 51 handlers would carry all of it. */
+/** NB_ALWAYS_INLINE for a lambda (placed after its parameter list).
+ *  Without it GCC leaves the large operand lambdas of
+ *  Machine::semantics() as real calls. */
 #ifdef __OPTIMIZE__
-#define NB_ALWAYS_INLINE [[gnu::always_inline]] inline
+#define NB_INLINE_LAMBDA __attribute__((always_inline))
 #else
-#define NB_ALWAYS_INLINE inline
+#define NB_INLINE_LAMBDA
 #endif
 
 namespace nb::sim
@@ -111,13 +111,13 @@ mapPd(const VecReg &a, const VecReg &b, unsigned width_bits, F &&f)
     return out;
 }
 
-inline std::uint64_t
+NB_ALWAYS_INLINE std::uint64_t
 widthMask(unsigned width_bits)
 {
     return width_bits >= 64 ? ~0ULL : (1ULL << width_bits) - 1;
 }
 
-inline std::uint64_t
+NB_ALWAYS_INLINE std::uint64_t
 signBit(unsigned width_bits)
 {
     return 1ULL << (width_bits - 1);
@@ -263,6 +263,14 @@ Machine::issueSlot(ExecContext &ctx)
 {
     // Scheduler-window back-pressure: stall issue until the oldest
     // in-flight µop completes.
+    //
+    // Known gap (ROADMAP item 5): this pops at most one entry per
+    // issue slot, but dispatchUop() pushes one per µop, so `window`
+    // is not bounded by windowSize. On Skylake (windowSize 96) a
+    // `mov [R14], RAX` spec (unroll 1000, loop 10) grows it to 360,265
+    // entries and even `add RAX, RBX` to 286, so the stall waits on an
+    // ancient completion. Bounding it changes timing, and so every
+    // golden.
     if (sched_.window.size() >= ctx.windowSize) {
         Cycles oldest = sched_.window.front();
         sched_.window.pop_front();
@@ -321,8 +329,11 @@ Machine::dispatchUop(ExecContext &ctx, uarch::PortMask ports, Cycles ready,
     sched_.window.push_back(done);
 
     count(EventId::UopsExecuted, 1, best_cycle);
-    if (best_port < 8)
-        count(portEvent(best_port), 1, best_cycle);
+    if (best_port < 8) {
+        count(static_cast<EventId>(
+                  static_cast<unsigned>(EventId::UopsPort0) + best_port),
+              1, best_cycle);
+    }
     if (ctx.observer) {
         ++ctx.observer->uopsDispatched;
         ++ctx.observer->portUops[best_port];
@@ -602,7 +613,8 @@ Machine::semantics(OpClass c, InsnState &s, ExecContext &ctx)
     const Opcode opcode = insn.opcode;
     const unsigned op_width = s.opWidth;
 
-    auto read_src = [&](const Operand &op) -> std::uint64_t {
+    auto read_src = [&](const Operand &op)
+                        NB_INLINE_LAMBDA -> std::uint64_t {
         switch (op.kind) {
           case OperandKind::Register:
             return arch_.readGpr(op.reg, op.widthBits);
@@ -616,17 +628,18 @@ Machine::semantics(OpClass c, InsnState &s, ExecContext &ctx)
         }
         panic("unreadable operand");
     };
-    auto read_vec_src = [&](const Operand &op) -> VecReg {
+    auto read_vec_src = [&](const Operand &op)
+                            NB_INLINE_LAMBDA -> VecReg {
         if (op.kind == OperandKind::Register)
             return arch_.readVec(op.reg);
         if (op.kind == OperandKind::Memory)
             return s.loadedVec;
         panic("unreadable vector operand");
     };
-    auto ready_at = [&](Reg r) {
+    auto ready_at = [&](Reg r) NB_INLINE_LAMBDA {
         sched_.regReady[static_cast<unsigned>(r)] = s.resultReady;
     };
-    auto write_dst = [&](std::uint64_t value) {
+    auto write_dst = [&](std::uint64_t value) NB_INLINE_LAMBDA {
         const Operand &dst = insn.operands[0];
         if (dst.kind == OperandKind::Register) {
             arch_.writeGpr(dst.reg, dst.widthBits, value);
@@ -637,7 +650,7 @@ Machine::semantics(OpClass c, InsnState &s, ExecContext &ctx)
             panic("bad destination operand");
         }
     };
-    auto write_vec_dst = [&](const VecReg &value) {
+    auto write_vec_dst = [&](const VecReg &value) NB_INLINE_LAMBDA {
         const Operand &dst = insn.operands[0];
         if (dst.kind == OperandKind::Register) {
             arch_.writeVec(dst.reg, value);
@@ -649,22 +662,25 @@ Machine::semantics(OpClass c, InsnState &s, ExecContext &ctx)
         }
     };
     // RDX:RAX results (widening multiply, divide, counter reads).
-    auto write_rdx_rax = [&](std::uint64_t rdx, std::uint64_t rax) {
+    auto write_rdx_rax = [&](std::uint64_t rdx,
+                             std::uint64_t rax) NB_INLINE_LAMBDA {
         arch_.writeGpr(Reg::RAX, 64, rax);
         arch_.writeGpr(Reg::RDX, 64, rdx);
         ready_at(Reg::RAX);
         ready_at(Reg::RDX);
     };
-    auto set_zf_sf = [&](std::uint64_t result) {
+    auto set_zf_sf = [&](std::uint64_t result) NB_INLINE_LAMBDA {
         arch_.zf = (result & widthMask(op_width)) == 0;
         arch_.sf = (result & signBit(op_width)) != 0;
     };
-    auto flags_written = [&]() { sched_.flagsReady = s.resultReady; };
-    auto vec_op = [&](unsigned a, unsigned b) {
+    auto flags_written = [&]() NB_INLINE_LAMBDA {
+        sched_.flagsReady = s.resultReady;
+    };
+    auto vec_op = [&](unsigned a, unsigned b) NB_INLINE_LAMBDA {
         return std::pair{read_vec_src(insn.operands[a]),
                          read_vec_src(insn.operands[b])};
     };
-    auto take_branch = [&]() {
+    auto take_branch = [&]() NB_INLINE_LAMBDA {
         s.taken = true;
         const auto t = static_cast<std::uint64_t>(s.target);
         s.branchTarget =

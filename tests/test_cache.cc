@@ -261,6 +261,68 @@ TEST(FlushGeneration, AdaptiveDuelingL3ReplaysLikeANewCache)
         "ADAPTIVE", 24);
 }
 
+TEST(FillAbsent, LookupThenFillMatchesAccess)
+{
+    // The hierarchy's lookup-then-fill (accessIfPresent, then
+    // fillAbsent on a miss) must be indistinguishable from access():
+    // a seeded stream over the Ivy Bridge duel on a 64-set, 12-way
+    // slice, with writes, invalidates and flushes mixed in.
+    const auto &l3 = uarch::getMicroArch("IvyBridge").cacheConfig;
+    auto spec_a = QlruSpec::parse(l3.l3Dueling.policyA).value();
+    auto spec_b = QlruSpec::parse(l3.l3Dueling.policyB).value();
+    auto make = [&](Rng *rng, DuelState *duel) {
+        CacheConfig cfg;
+        cfg.sizeBytes = 64 * 12 * 64;
+        cfg.assoc = 12;
+        cfg.policy = Policy(spec_a, 12, rng);
+        DuelingConfig leaders;
+        leaders.leaders = {{-1, 4, 7, DuelRole::LeaderA},
+                           {-1, 40, 43, DuelRole::LeaderB}};
+        cfg.dueling = CacheDueling{Policy(spec_b, 12, rng), leaders, 0,
+                                   duel};
+        return cfg;
+    };
+    Rng rng_a(5), rng_b(5);
+    DuelState duel_a(10), duel_b(10);
+    Cache plain(make(&rng_a, &duel_a));
+    Cache split(make(&rng_b, &duel_b));
+    const Addr blocks = static_cast<Addr>(plain.numSets()) * 20;
+    Rng ops(2024);
+    for (int i = 0; i < 150000; ++i) {
+        Addr addr = ops.nextBelow(blocks) * plain.lineSize() +
+                    ops.nextBelow(plain.lineSize());
+        bool write = ops.oneIn(4);
+        auto op = ops.nextBelow(1000);
+        if (op == 0) {
+            plain.flushAll();
+            split.flushAll();
+        } else if (op < 20) {
+            ASSERT_EQ(plain.invalidate(addr), split.invalidate(addr));
+        } else {
+            LineAccessResult want = plain.access(addr, write);
+            bool hit = split.accessIfPresent(addr, write);
+            ASSERT_EQ(hit, want.hit) << "step " << i;
+            if (!hit) {
+                LineAccessResult got = split.fillAbsent(addr, write);
+                ASSERT_FALSE(got.hit);
+                ASSERT_EQ(got.set, want.set) << "step " << i;
+                ASSERT_EQ(got.way, want.way) << "step " << i;
+                ASSERT_EQ(got.evicted, want.evicted) << "step " << i;
+                ASSERT_EQ(got.evictedDirty, want.evictedDirty)
+                    << "step " << i;
+            }
+        }
+    }
+    EXPECT_EQ(plain.stats(), split.stats());
+    EXPECT_GT(plain.stats().evictions, 10000u);
+    EXPECT_EQ(duel_a.psel(), duel_b.psel());
+    for (unsigned s = 0; s < plain.numSets(); ++s) {
+        ASSERT_EQ(plain.debugState(s), split.debugState(s)) << "set " << s;
+        ASSERT_EQ(plain.setOccupancy(s), split.setOccupancy(s));
+    }
+    EXPECT_EQ(rng_a.next(), rng_b.next());
+}
+
 TEST(FlushGeneration, HierarchyWbinvdEmptiesEveryLevel)
 {
     Rng rng(1);
@@ -298,6 +360,33 @@ TEST(Hierarchy, MissFillsAllLevels)
     EXPECT_TRUE(h.l2().probe(0x100000));
     EXPECT_TRUE(h.l3Slice(h.sliceOf(0x100000)).probe(0x100000));
     EXPECT_EQ(h.access(0x100000, AccessType::Load).level, HitLevel::L1);
+}
+
+TEST(Hierarchy, EachLookupScansALevelOnce)
+{
+    // A cold load looks up L1, L2 and one L3 slice, and fills all
+    // three without scanning any tags again; a hit scans only the L1.
+    Rng rng(1);
+    Hierarchy h(skylakeConfig(), &rng);
+    h.setPrefetcherControl(pf::kDisableAll);
+    auto scans = [&] {
+        std::uint64_t n = h.l1().stats().tagScans +
+                          h.l2().stats().tagScans;
+        for (unsigned i = 0; i < h.numSlices(); ++i)
+            n += h.l3Slice(i).stats().tagScans;
+        return n;
+    };
+    const Addr line = 0x100000;
+    const unsigned slice = h.sliceOf(line);
+    ASSERT_EQ(h.access(line, AccessType::Load).level, HitLevel::Memory);
+    EXPECT_EQ(h.l1().stats().tagScans, 1u);
+    EXPECT_EQ(h.l2().stats().tagScans, 1u);
+    EXPECT_EQ(h.l3Slice(slice).stats().tagScans, 1u);
+    EXPECT_EQ(scans(), 3u);
+    ASSERT_EQ(h.access(line, AccessType::Load).level, HitLevel::L1);
+    EXPECT_EQ(scans(), 4u);
+    h.clearStats();
+    EXPECT_EQ(scans(), 0u);
 }
 
 TEST(Hierarchy, LatenciesFollowLevels)

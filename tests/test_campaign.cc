@@ -850,7 +850,12 @@ TEST(Campaign, DefaultCampaignIsLayoutInvariant)
     plan_opt.setHi = 512;
     ASSERT_TRUE(
         session.runner().reserveR14Area(scanner.planAreaSize(plan_opt)));
+    // planAreaSize() covers plan()'s CacheSeq too, so plan() keeps the
+    // reservation it was planned against instead of moving R14.
+    const Addr planned_base = session.runner().r14Area();
     cachetools::DuelingPlan plan = scanner.plan(plan_opt);
+    EXPECT_EQ(session.runner().r14Area(), planned_base);
+    EXPECT_EQ(plan.r14Size, session.runner().r14AreaSize());
     ASSERT_GE(plan.specs.size(), 2u);
 
     CampaignOptions dueling;

@@ -543,6 +543,85 @@ TEST(Snapshot, RestoredMachineRunsLikeANewOne)
     EXPECT_EQ(observe(*reused), expected);
 }
 
+// ------------------------------------------------------------ memory --
+
+TEST(Memory, AccessesRoundTripAcrossPageBoundaries)
+{
+    // Every start from 8 bytes before a page boundary to its first
+    // byte: the accesses that stay within a page take one page lookup,
+    // the straddling ones go byte by byte across both pages.
+    const std::uint64_t pattern = 0x8877665544332211ULL;
+    const Addr boundary = 3 * kPageSize;
+    for (unsigned bytes : {1u, 4u, 8u}) {
+        const std::uint64_t mask =
+            bytes == 8 ? ~0ULL : (1ULL << (8 * bytes)) - 1;
+        for (Addr back = 0; back <= 8; ++back) {
+            PhysMemory mem;
+            const Addr pa = boundary - back;
+            mem.write(pa, pattern, bytes);
+            EXPECT_EQ(mem.read(pa, bytes), pattern & mask)
+                << bytes << " bytes at boundary-" << back;
+            for (unsigned i = 0; i < bytes; ++i) {
+                EXPECT_EQ(mem.read(pa + i, 1), (pattern >> (8 * i)) & 0xFF)
+                    << bytes << " bytes at boundary-" << back << " +" << i;
+            }
+            EXPECT_EQ(mem.read(pa - 1, 1), 0u);
+            EXPECT_EQ(mem.read(pa + bytes, 1), 0u);
+        }
+    }
+
+    // The same through the executor: an 8-byte store and load that
+    // straddle two identity-mapped pages.
+    auto m = makeMachine();
+    execProgram(*m, assemble("mov RAX, 0x1122334455667788; "
+                             "mov [0x10FFC], RAX; mov RBX, [0x10FFC]"));
+    EXPECT_EQ(gpr(*m, Reg::RBX), 0x1122334455667788ULL);
+    EXPECT_EQ(m->memory().readVirt(0x11000, 4), 0x11223344u);
+    EXPECT_EQ(m->memory().readVirt(0x10FFC, 4), 0x55667788u);
+}
+
+TEST(Memory, UnwrittenAndDroppedPagesReadZero)
+{
+    PhysMemory mem;
+    const Addr kept = 7 * kPageSize;
+    mem.write(kept + 16, 0xAB, 1);
+    PhysMemory::Snapshot snap = mem.snapshot();
+
+    // Never written: in one page and straddling two.
+    EXPECT_EQ(mem.read(5 * kPageSize + 100, 8), 0u);
+    EXPECT_EQ(mem.read(6 * kPageSize - 4, 8), 0u);
+
+    // Written after the snapshot, then dropped by restore().
+    mem.write(5 * kPageSize + 100, ~0ULL, 8);
+    mem.write(6 * kPageSize - 4, ~0ULL, 8);
+    mem.write(kept + 16, 0xCD, 1);
+    ASSERT_EQ(mem.read(6 * kPageSize - 4, 8), ~0ULL);
+    mem.restore(snap);
+    EXPECT_EQ(mem.read(5 * kPageSize + 100, 8), 0u);
+    EXPECT_EQ(mem.read(6 * kPageSize - 4, 8), 0u);
+    EXPECT_EQ(mem.read(6 * kPageSize, 4), 0u);
+    EXPECT_EQ(mem.read(kept + 16, 1), 0xABu);
+}
+
+TEST(Memory, TranslateFollowsRemapAndUnmap)
+{
+    PageTable pt;
+    pt.mapPage(0x40000, 0x100000);
+    pt.mapPage(0x41000, 0x300000);
+    EXPECT_EQ(pt.translate(0x40010), 0x100010u);
+    EXPECT_EQ(pt.translate(0x40FF8), 0x100FF8u);
+    // Remapping the page translated last must not return the old frame.
+    pt.mapPage(0x40000, 0x200000);
+    EXPECT_EQ(pt.translate(0x40010), 0x200010u);
+    EXPECT_EQ(pt.translate(0x41008), 0x300008u);
+    EXPECT_EQ(pt.translate(0x40020), 0x200020u);
+    // Nor may an unmapped one still translate.
+    pt.unmapPage(0x40000);
+    EXPECT_THROW(pt.translate(0x40010), FatalError);
+    EXPECT_EQ(pt.translate(0x41008), 0x300008u);
+    EXPECT_THROW(pt.translate(0x40010), FatalError);
+}
+
 // --------------------------------------------------------------- TLB --
 
 TEST(Tlb, ArrayLruReplacement)
